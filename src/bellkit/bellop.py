@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .qstate import PureState, State, UNIT_ATOL, pauli_dot
+from .qstate import PAULI_X, PAULI_Y, PAULI_Z, PureState, State, UNIT_ATOL, pauli_dot
 
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
 MAX_ENUM_QUBITS = 10       # 4^n assignment enumeration
@@ -231,6 +231,40 @@ def _bell_operator_raw(vectors: np.ndarray) -> np.ndarray:
     return b
 
 
+# Row mu holds sigma_mu[j, i] at the interleaved index 2i + j, so that a row
+# dotted with the (i, j) pair of one qubit of rho gives tr(rho sigma_mu).
+_PAULI_TRACE_ROWS = np.array([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+
+
+def _correlation_tensor(state: State) -> np.ndarray:
+    """Full-weight Pauli correlations T[mu_1..mu_n] = tr(rho sigma_mu1 (x) ...
+    (x) sigma_mun), flattened with qubit 1 most significant (3^n real
+    entries).  <B_n> is linear in T, so one T serves every setting."""
+    n = state.n
+    rho = np.outer(state.amp, state.amp.conj()) if isinstance(state, PureState) else state.mat
+    arr = rho.reshape((2,) * (2 * n)).transpose([ax for q in range(n) for ax in (q, n + q)])
+    for _ in range(n):
+        # contract the leading qubit's (i, j) pair and rotate its Pauli index to the back
+        arr = (_PAULI_TRACE_ROWS @ arr.reshape(4, -1)).T
+    return arr.real.ravel()
+
+
+def _lift_step(w: np.ndarray, wp: np.ndarray, a: np.ndarray, ap: np.ndarray):
+    """One step of the F_n recursion lifted to Pauli-weight vectors:
+    (W, W') -> (W (x) p + W' (x) m, W' (x) p - W (x) m), p = (a+a')/2, m = (a-a')/2."""
+    p, m = 0.5 * (a + ap), 0.5 * (a - ap)
+    return np.kron(w, p) + np.kron(wp, m), np.kron(wp, p) - np.kron(w, m)
+
+
+def _bell_weights(vectors: np.ndarray) -> np.ndarray:
+    """Weights W_n on the 3^n full-weight Pauli strings with <B_n> = W_n . T,
+    from W_0 = W_0' = 2; multilinear in each direction like the operator."""
+    w = wp = np.full(1, 2.0)
+    for a, ap in vectors:
+        w, wp = _lift_step(w, wp, a, ap)
+    return w
+
+
 def bell_operator(st: Settings) -> np.ndarray:
     """Dense Hermitian B_n for the given settings."""
     if st.n > MAX_OPERATOR_QUBITS:
@@ -261,7 +295,7 @@ def bell_expectation(state: State, st: Settings) -> float:
     if isinstance(state, PureState):
         val = complex(np.vdot(state.amp, b @ state.amp))
     else:
-        val = complex(np.trace(state.mat @ b))
+        val = complex(np.einsum("ij,ji->", state.mat, b))
     if abs(val.imag) > EXPECTATION_IMAG_ATOL:
         raise RuntimeError(f"expectation has imaginary part {val.imag!r}")
     return float(val.real)

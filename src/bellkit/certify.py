@@ -93,9 +93,11 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     Every nonzero term of the multilinear expansion selects one product
     measurement; ``shots_per_term`` outcomes are sampled from its exact
     distribution and the +-1 products averaged.  Per-term standard errors
-    combine in quadrature, weighted by |coefficient|.  Per-term substreams
-    are spawned by counter, so the estimate is reproducible regardless of
-    evaluation order.
+    combine in quadrature, weighted by |coefficient|.  A term whose shots all
+    agree has no sample spread, so in place of a zero it gets the finite-shot
+    floor sqrt(4 p (1-p) / N), with p = (k+1)/(N+2) at k = N agreeing shots.
+    Per-term substreams are spawned by counter, so the estimate is
+    reproducible regardless of evaluation order.
     """
     if shots_per_term < MIN_SHOTS:
         raise ValueError(f"need at least {MIN_SHOTS} shots per term")
@@ -111,6 +113,9 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
         products = signs[draws]
         mean = float(products.mean())
         stderr = float(products.std(ddof=1) / np.sqrt(shots_per_term))
+        if stderr == 0.0:   # exact for +-1 samples that all agree
+            p = (shots_per_term + 1) / (shots_per_term + 2)
+            stderr = float(np.sqrt(4 * p * (1 - p) / shots_per_term))
         w = float(coeff)
         total += w * mean
         var_total += (w * stderr) ** 2

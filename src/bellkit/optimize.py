@@ -4,9 +4,19 @@ linear in a_j (or a_j'), so the optimal update is the normalized coefficient
 3-vector in closed form.  Multi-start coordinate ascent then handles the
 outer non-convexity.
 
+The settings sweeps never build a dense operator.  <B_n> = W_n . T is linear
+in the state's 3^n-entry Pauli correlation tensor T, with weights W_n from the
+F_n recursion lifted to vectors; a sweep builds the right environments of the
+qubits not yet visited, carries the left weights of the qubits already
+updated, and reads the coefficients of a_j and a_j' from one contraction of T
+per qubit.  T is built once per state.  Dense operators remain only for the
+eigenvalue steps and for re-verifying every reported optimum.
+
 All routines are deterministic: restart r draws from a child generator
 spawned by counter from the caller's seed, so results are independent of
-evaluation order, and ties between restarts resolve to the lowest index.
+evaluation order, and ties between restarts resolve to the lowest index: a
+later restart replaces the best only when it beats it by more than
+ASCENT_SLACK.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria, symstate
-from .bellop import Settings, _bell_operator_raw, bell_expectation
+from .bellop import (Settings, _bell_operator_raw, _bell_weights, _correlation_tensor,
+                     _lift_step, bell_expectation)
 from .qstate import PureState, State
 
 FD_STEP = 1e-6            # finite-difference half-step for quasi-gradients
@@ -72,49 +83,42 @@ class OptResult:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
-def _expectation_raw(state: State, vectors: np.ndarray) -> float:
-    """<B(vectors)> without unit-norm validation (vectors may be axis or
-    zero probes during coordinate updates)."""
-    b = _bell_operator_raw(vectors)
-    if isinstance(state, PureState):
-        return float(np.vdot(state.amp, b @ state.amp).real)
-    return float(np.trace(state.mat @ b).real)
-
-
 def _random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=(n, 2, 3))
     return v / np.linalg.norm(v, axis=2, keepdims=True)
 
 
-_AXES = np.eye(3)
+def _coordinate_sweep(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:
+    """One pass of closed-form updates over all 2n direction vectors, given
+    the state's correlation tensor ``corr``.
 
-
-def _coordinate_sweep(state: State, vectors: np.ndarray) -> tuple[np.ndarray, float]:
-    """One pass of closed-form updates over all 2n direction vectors.
-
-    For each vector v the objective is h + g.v with g recovered from four
-    evaluations (three axis probes and one zero probe); the maximizing unit
-    vector is g/|g|.  Never decreases the objective.
+    At qubit j, with left weights (W, W') over the updated qubits 1..j-1 and
+    right environments (R0, R1) over the unvisited qubits j+1..n,
+    C_xy = left_x . T . right_y gives u = C00 + C11 and v = C10 - C01, and
+    <B> = a_j.(u+v)/2 + a_j'.(u-v)/2.  Each coefficient g is free of both
+    a_j and a_j', so the maximizing unit vectors g/|g| are set together.
+    Never decreases the objective.
     """
     n = vectors.shape[0]
     vectors = vectors.copy()
-    value = None
+    rights = [(np.ones(1), np.zeros(1))]    # rights[k]: environment of the last k qubits
+    for a, ap in vectors[:0:-1]:
+        p, m = 0.5 * (a + ap), 0.5 * (a - ap)
+        r0, r1 = rights[-1]
+        rights.append((np.kron(p, r0) - np.kron(m, r1), np.kron(m, r0) + np.kron(p, r1)))
+    w = wp = np.full(1, 2.0)
     for j in range(n):
+        right = np.stack(rights[n - 1 - j])
+        left = np.stack([w, wp]) @ corr.reshape(w.size, -1)
+        c = left.reshape(2, 3, right.shape[1]) @ right.T    # c[x, :, y] = C_xy
+        u, v = c[0, :, 0] + c[1, :, 1], c[1, :, 0] - c[0, :, 1]
+        g = np.stack([0.5 * (u + v), 0.5 * (u - v)])
         for which in (0, 1):
-            probe = vectors.copy()
-            probe[j, which] = 0.0
-            h = _expectation_raw(state, probe)
-            g = np.empty(3)
-            for a in range(3):
-                probe[j, which] = _AXES[a]
-                g[a] = _expectation_raw(state, probe) - h
-            norm = float(np.linalg.norm(g))
+            norm = float(np.linalg.norm(g[which]))
             if norm > 1e-14:
-                vectors[j, which] = g / norm
-                value = h + norm
-            else:
-                value = _expectation_raw(state, vectors)
-    return vectors, float(value)
+                vectors[j, which] = g[which] / norm
+        w, wp = _lift_step(w, wp, vectors[j, 0], vectors[j, 1])
+    return vectors, float(np.sum(g * vectors[-1]))
 
 
 def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
@@ -124,15 +128,16 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
         raise ValueError("tol must be positive")
     if state.n > 10:
         raise ValueError("settings optimization supports n <= 10")
+    corr = _correlation_tensor(state)
     best_val, best_st, best_converged = -np.inf, None, False
     traces = []
     for r in range(restarts):
         rng = child_rng(seed, r)
         vectors = _random_unit_vectors(rng, state.n)
-        trace = [_expectation_raw(state, vectors)]
+        trace = [float(_bell_weights(vectors) @ corr)]
         converged = False
         for _ in range(MAX_ITERATIONS):
-            vectors, value = _coordinate_sweep(state, vectors)
+            vectors, value = _coordinate_sweep(corr, vectors)
             if value < trace[-1] - ASCENT_SLACK:
                 raise RuntimeError("coordinate ascent regressed")
             improved = value - trace[-1]
@@ -141,7 +146,7 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
                 converged = True
                 break
         traces.append(tuple(trace))
-        if trace[-1] > best_val:
+        if trace[-1] > best_val + ASCENT_SLACK:
             best_val, best_st, best_converged = trace[-1], Settings(vectors), converged
     check = bell_expectation(state, best_st)
     if abs(check - best_val) > VERIFY_ATOL:
@@ -167,7 +172,7 @@ def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
         converged = False
         for _ in range(MAX_ITERATIONS):
             eigvec = PureState(n, v[:, -1])
-            vectors, _ = _coordinate_sweep(eigvec, vectors)
+            vectors, _ = _coordinate_sweep(_correlation_tensor(eigvec), vectors)
             w, v = np.linalg.eigh(_bell_operator_raw(vectors))
             lam = float(w[-1])
             if lam < trace[-1] - ASCENT_SLACK:
@@ -178,7 +183,7 @@ def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
                 converged = True
                 break
         traces.append(tuple(trace))
-        if trace[-1] > best_val:
+        if trace[-1] > best_val + ASCENT_SLACK:
             best_val, best_st, best_converged = trace[-1], Settings(vectors), converged
     check = float(np.linalg.eigvalsh(_bell_operator_raw(best_st.vectors))[-1])
     if abs(check - best_val) > VERIFY_ATOL:
@@ -235,10 +240,11 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
                 full = np.kron(full, s)
             return PureState(n, full)
 
-        trace = [_expectation_raw(assemble(), vectors)]
+        corr = _correlation_tensor(assemble())
+        trace = [float(_bell_weights(vectors) @ corr)]
         converged = False
         for _ in range(MAX_ITERATIONS):
-            vectors, _ = _coordinate_sweep(assemble(), vectors)
+            vectors, _ = _coordinate_sweep(corr, vectors)
             b = _bell_operator_raw(vectors)
             fixed = [((q,), s) for q, s in zip(single_qubits, singles)]
             eff = _effective_operator(b, n, fixed, block_qubits)
@@ -250,7 +256,8 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
                 eff2 = _effective_operator(b, n, fixed, [q])
                 w2, v2 = np.linalg.eigh(eff2)
                 singles[i] = v2[:, -1]
-            value = _expectation_raw(assemble(), vectors)
+            corr = _correlation_tensor(assemble())
+            value = float(_bell_weights(vectors) @ corr)
             if value < trace[-1] - ASCENT_SLACK:
                 raise RuntimeError("alternating ascent regressed")
             improved = value - trace[-1]
@@ -259,7 +266,7 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
                 converged = True
                 break
         traces.append(tuple(trace))
-        if trace[-1] > best_val:
+        if trace[-1] > best_val + ASCENT_SLACK:
             best_val, best_st, best_state = trace[-1], Settings(vectors), assemble()
             best_converged = converged
     check = bell_expectation(best_state, best_st)
@@ -364,7 +371,7 @@ def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
                 converged = True
                 break
         traces.append(tuple(trace))
-        if trace[-1] < best_val:
+        if trace[-1] < best_val - ASCENT_SLACK:
             best_val = trace[-1]
             best_state = symstate.SymState(n, list(_params_to_coeff(n, theta)))
             best_converged = converged

@@ -351,8 +351,9 @@ def check_shot_noise(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResul
     hits = 0
     for i in range(reps):
         est = certify.estimate_E(psi, st, shots, seed + i)
-        # the 1e-12 absorbs float round-off when a term is deterministic
-        # (zero sample variance at the optimal settings)
+        # deterministic terms at the optimal settings carry estimate_E's
+        # finite-shot stderr floor, so est.stderr > 0; the 1e-12 is the
+        # check's fixed slack for round-off in the summed estimate
         if abs(est.value - exact) <= 4.0 * est.stderr + 1e-12:
             hits += 1
     need = int(np.ceil(0.95 * reps))

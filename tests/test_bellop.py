@@ -14,7 +14,7 @@ from bellkit.bellop import (Assignment, Settings, bell_expectation,
                             operator_from_correlators)
 from bellkit.qstate import PureState, pauli_dot
 
-from conftest import ghz_pure, random_pure, random_unit_vectors
+from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
 
 
 def brute_force_lhv_max(n: int) -> Fraction:
@@ -190,6 +190,15 @@ class TestBellExpectation:
                 psi = random_pure(n, rng)
                 st_ = Settings(random_unit_vectors(n, rng))
                 assert bell_expectation(psi, st_) <= cap
+
+    @given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tensor_contraction_matches_dense(self, n, mixed, seed):
+        rng = np.random.default_rng(seed)
+        state = random_density(n, rng) if mixed else random_pure(n, rng)
+        vectors = random_unit_vectors(n, rng)
+        via_tensor = bellop._bell_weights(vectors) @ bellop._correlation_tensor(state)
+        assert via_tensor == pytest.approx(bell_expectation(state, Settings(vectors)), abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -81,8 +81,7 @@ class TestCertifyDepth:
 class TestEstimateE:
     def test_ghz3_within_four_sigma(self):
         # At the optimal settings every term's outcome parity is
-        # deterministic, so the sample standard error is exactly zero and
-        # only float round-off separates the estimate from 2^2.
+        # deterministic, so each term carries only the finite-shot floor.
         psi = ghz_pure(3)
         st_ = ghz_optimal_settings(3)
         exact = bell_expectation(psi, st_)
@@ -119,6 +118,12 @@ class TestEstimateE:
         exact = bell_expectation(rho, st_)
         est = estimate_E(rho, st_, shots_per_term=10**5, seed=7)
         assert abs(est.value - exact) <= 4 * est.stderr
+
+    def test_agreeing_shots_keep_nonzero_stderr(self):
+        # every GHZ n=3 term is deterministic at the optimal settings
+        est = estimate_E(ghz_pure(3), ghz_optimal_settings(3), shots_per_term=2000, seed=3)
+        assert est.value == pytest.approx(4.0, abs=1e-12)
+        assert est.stderr > 0
 
     def test_deterministic(self):
         psi = ghz_pure(2)

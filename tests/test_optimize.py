@@ -4,11 +4,58 @@ import numpy as np
 import pytest
 
 from bellkit import criteria, optimize
+from bellkit.bellop import _bell_operator_raw, _correlation_tensor
 from bellkit.optimize import (max_eigen_settings, max_violation_settings,
                               product_bound_max, search_mm_partial)
 from bellkit.qstate import PureState
 
-from conftest import ghz_pure
+from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
+
+
+def dense_expectation(state, vectors):
+    """<B(vectors)> through the dense operator; vectors may be axis or zero
+    probes, so no unit-norm validation."""
+    b = _bell_operator_raw(vectors)
+    if isinstance(state, PureState):
+        return float(np.vdot(state.amp, b @ state.amp).real)
+    return float(np.einsum("ij,ji->", state.mat, b).real)
+
+
+def four_probe_sweep(state, vectors):
+    """Reference sweep: for each vector v the objective is h + g.v with g
+    recovered from three axis probes and one zero probe on the dense
+    operator; the vectors are updated in order, a_j before a_j'."""
+    vectors = vectors.copy()
+    value = None
+    for j in range(vectors.shape[0]):
+        for which in (0, 1):
+            probe = vectors.copy()
+            probe[j, which] = 0.0
+            h = dense_expectation(state, probe)
+            g = np.empty(3)
+            for axis in range(3):
+                probe[j, which] = np.eye(3)[axis]
+                g[axis] = dense_expectation(state, probe) - h
+            norm = float(np.linalg.norm(g))
+            if norm > 1e-14:
+                vectors[j, which] = g / norm
+                value = h + norm
+            else:
+                value = dense_expectation(state, vectors)
+    return vectors, value
+
+
+class TestCoordinateSweep:
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_four_probe_reference(self, n, mixed, rng):
+        state = random_density(n, rng) if mixed else random_pure(n, rng)
+        vectors = random_unit_vectors(n, rng)
+        got, value = optimize._coordinate_sweep(_correlation_tensor(state), vectors)
+        want, want_value = four_probe_sweep(state, vectors)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert abs(value - want_value) < 1e-12
+        assert abs(value - dense_expectation(state, got)) < 1e-12
 
 
 class TestMaxViolationSettings:
@@ -57,6 +104,14 @@ class TestMaxEigenSettings:
         res = max_eigen_settings(3, restarts=6, tol=1e-9, seed=12)
         lam = np.linalg.eigvalsh(bell_operator(res.best_settings))[-1]
         assert lam == pytest.approx(res.best_value, abs=1e-10)
+
+    def test_round_off_ties_keep_lowest_restart(self):
+        # every restart reaches 2^2.5; later ones differ from restart 0 only
+        # in the last digits and must not replace it
+        res = max_eigen_settings(4, restarts=4, tol=1e-9, seed=5)
+        first = max_eigen_settings(4, restarts=1, tol=1e-9, seed=5)
+        assert max(t[-1] for t in res.traces) - res.best_value <= optimize.ASCENT_SLACK
+        assert np.array_equal(res.best_settings.vectors, first.best_settings.vectors)
 
 
 class TestProductBoundMax:
