@@ -346,28 +346,26 @@ def ghz_optimal_settings(n: int) -> Settings:
     """Settings that make the GHZ state saturate <B_n> = 2^((n+1)/2).
 
     All directions lie in the xy-plane: a_j at angle
-    (j-1) * (-1)^(n+1) * pi / (2n) from the x-axis and a_j' perpendicular to
-    a_j in the same plane.  Orthogonality leaves a sign free, so both global
-    signs are evaluated on the GHZ state and the better one is kept.
+    phi_j = (j-1) * (-1)^(n+1) * pi / (2n) from the x-axis and a_j' at
+    phi_j + s pi/2.  On the GHZ state a product of xy-plane directions has
+    expectation Re e^(i sum of angles), so <B_n> = Re F_n(z) with every
+    direction replaced by z = e^(i angle).  F_n = (G + H)/2, where
+    G, H = F_n +- i F_n' = 2 (a_1 +- i a_1') prod_{j>1} (e^(-+i pi/4) a_j
+    + e^(+-i pi/4) a_j') / sqrt(2); z_j' = s i z_j kills G at s = +1 and H at
+    s = -1, leaving <B_n> = 2^((n+1)/2) cos(sum_j phi_j + s (n-1) pi/4) with
+    sum_j phi_j = (-1)^(n+1) (n-1) pi/4.  The maximum takes s = -1 when
+    n = 3 (mod 4) and s = +1 otherwise; at n = 1 (mod 4) both signs tie and
+    +1 is kept.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    ghz = np.zeros(2**n, dtype=complex)
-    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
-    state = PureState(n, ghz)
+    sign = -1 if n % 4 == 3 else 1
 
     def xy(phi: float) -> np.ndarray:
         return np.array([np.cos(phi), np.sin(phi), 0.0])
 
-    best = None
-    best_val = -np.inf
-    for sign in (1, -1):
-        vecs = []
-        for j in range(1, n + 1):
-            phi = (j - 1) * ((-1) ** (n + 1)) * np.pi / (2 * n)
-            vecs.append((xy(phi), xy(phi + sign * np.pi / 2)))
-        st = Settings.from_pairs(vecs)
-        val = bell_expectation(state, st)
-        if val > best_val:
-            best, best_val = st, val
-    return best
+    vecs = []
+    for j in range(1, n + 1):
+        phi = (j - 1) * ((-1) ** (n + 1)) * np.pi / (2 * n)
+        vecs.append((xy(phi), xy(phi + sign * np.pi / 2)))
+    return Settings.from_pairs(vecs)

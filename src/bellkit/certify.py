@@ -16,7 +16,7 @@ import numpy as np
 
 from . import optimize
 from .bellop import Settings, bell_expectation, expand_correlators
-from .qstate import DensityMatrix, State, outcome_distribution
+from .qstate import DensityMatrix, State, child_rng, hamming_weights, outcome_distribution
 
 EXACT_EPSILON = 1e-9        # margin when certifying exact expectations
 ESTIMATE_SIGMA = 4.0        # margin in standard errors for estimates
@@ -63,6 +63,8 @@ class CertResult:
 def certify_depth(value: float, n: int, epsilon: float = EXACT_EPSILON) -> CertResult:
     """Certify how many qubits must be entangled to produce expectation
     ``value`` on n qubits, with statistical margin ``epsilon``."""
+    if not (np.isfinite(value) and np.isfinite(epsilon)):
+        raise ValueError(f"value and epsilon must be finite, got {value!r}, {epsilon!r}")
     if value < 0:
         raise ValueError("expectation value must be nonnegative")
     if epsilon < 0:
@@ -83,8 +85,7 @@ class EstimateResult(NamedTuple):
 
 
 def _parity_signs(n: int) -> np.ndarray:
-    weights = np.array([bin(i).count("1") for i in range(2**n)])
-    return np.where(weights % 2 == 0, 1.0, -1.0)
+    return np.where(hamming_weights(n) % 2 == 0, 1.0, -1.0)
 
 
 def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> EstimateResult:
@@ -108,7 +109,7 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     for idx, (choice, coeff) in enumerate(sorted(poly.items())):
         bases = np.array([st.vectors[j, c] for j, c in enumerate(choice)])
         probs = outcome_distribution(state, bases)
-        rng = optimize.child_rng(seed, idx)
+        rng = child_rng(seed, idx)
         draws = rng.choice(probs.size, size=shots_per_term, p=probs)
         products = signs[draws]
         mean = float(products.mean())

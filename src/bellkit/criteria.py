@@ -7,13 +7,14 @@ maximally-mixed-partial-state spectrum test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from . import symstate
 from .qstate import (DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, PureState, State,
-                     as_bases, fidelity, measure_sample, outcome_distribution,
+                     as_bases, child_rng, fidelity, measure_sample, outcome_distribution,
                      partial_trace, pauli_expect, spectrum, x_bases, z_bases)
 
 BLOCH_MAXIMAL_ATOL = 1e-10      # "all Bloch vectors vanish" threshold
@@ -129,6 +130,8 @@ def distribute_check(n: int, k: int, trials: int, seed: int) -> DistributeReport
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
     ghz_n = symstate.embed(symstate.ghz(n, +1))
     targets = {s: symstate.embed(symstate.ghz(n - k, s)) for s in (+1, -1)}
     zero_prod = PureState.basis(n - 1, 0)
@@ -136,7 +139,7 @@ def distribute_check(n: int, k: int, trials: int, seed: int) -> DistributeReport
     x_passes = z_passes = 0
     worst = 0.0
     for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        rng = child_rng(seed, i)
         subset = sorted(int(q) + 1 for q in rng.choice(n, size=k, replace=False))
         rec = measure_sample(ghz_n, x_bases(n), subset, seed=int(rng.integers(2**63)))
         minus_count = sum(1 for o in rec.outcomes if o == -1)
@@ -211,33 +214,39 @@ def mm_partial_residual(state: symstate.SymState) -> MMResidual:
     return MMResidual(m, observed, target, residual)
 
 
+@lru_cache(maxsize=None)
+def schmidt_map(n: int, m: int) -> np.ndarray:
+    """Read-only linear map J from z-basis coefficients c to the symmetric
+    Schmidt matrix M = J @ c over the first m and remaining n-m qubits:
+    M[k, l] = c[k+l] sqrt(C(m,k) C(n-m,l)).
+
+    Splitting |j,n> = sum_k |k,m> (x) |j-k,n-m> and normalizing both factors
+    writes the state as sum_kl M[k, l] |k>|l> in orthonormal symmetric bases,
+    so |M|_F^2 = sum_j |c_j|^2 C(n,j) (Vandermonde) and M M^H / |M|_F^2 is
+    the m-qubit partial state.
+    """
+    jac = np.zeros((m + 1, n - m + 1, n + 1))
+    for k in range(m + 1):
+        for l in range(n - m + 1):
+            jac[k, l, k + l] = np.sqrt(comb(m, k) * comb(n - m, l))
+    jac.setflags(write=False)
+    return jac
+
+
 def symmetric_reduced_matrix(state: symstate.SymState, m: int) -> np.ndarray:
     """(m+1)x(m+1) block of the m-qubit partial state in the orthonormal
     symmetric basis; its eigenvalues are the nonzero partial spectrum.
 
-    Independent of the dense embed/partial-trace route (used to cross-check
-    mm_partial_residual): with the state written over |j,n>, the overlap of
-    the traced-out factors gives
-        rho[k,k'] ~ sum_j c_j conj(c_{j-k+k'}) C(n-m, j-k)
-    which is then rescaled by the symmetric-ket norms sqrt(C(m,k) C(m,k')).
+    Taken as M M^H / |M|_F^2 (see schmidt_map), independent of the dense
+    embed/partial-trace route.
     """
     n = state.n
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}")
     if state.basis_label != "z":
         raise ValueError("symmetric reduction expects a z-basis state")
-    c = state.as_complex()
-    norm_sq = float(np.sum(np.abs(c) ** 2 * np.array([comb(n, j) for j in range(n + 1)])))
-    rho = np.zeros((m + 1, m + 1), dtype=complex)
-    for k in range(m + 1):
-        for kp in range(m + 1):
-            total = 0.0 + 0j
-            for j in range(n + 1):
-                jp = j - k + kp
-                if 0 <= jp <= n and 0 <= j - k <= n - m:
-                    total += c[j] * np.conj(c[jp]) * comb(n - m, j - k)
-            rho[k, kp] = total * np.sqrt(comb(m, k) * comb(m, kp))
-    return rho / norm_sq
+    mat = schmidt_map(n, m) @ state.as_complex()
+    return mat @ mat.conj().T / np.vdot(mat, mat).real
 
 
 def mm_example_states() -> dict[str, symstate.SymState]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,18 +30,12 @@ import numpy as np
 from . import criteria, symstate
 from .bellop import (Settings, _bell_operator_raw, _bell_weights, _correlation_tensor,
                      _lift_step, bell_expectation)
-from .qstate import PureState, State
+from .qstate import PureState, State, child_rng
 
-FD_STEP = 1e-6            # finite-difference half-step for quasi-gradients
 BACKTRACK_FACTOR = 0.5    # line-search shrink factor
 MAX_ITERATIONS = 500      # per-restart iteration cap
 ASCENT_SLACK = 1e-12      # allowed arithmetic regression per accepted step
 VERIFY_ATOL = 1e-10       # argmax re-evaluation tolerance
-
-
-def child_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-derived independent substream (stable across worker layouts)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 @dataclass(frozen=True)
@@ -276,43 +269,42 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
 
 
 def _params_to_coeff(n: int, theta: np.ndarray) -> np.ndarray:
-    """2(n+1)-2 free real parameters -> symmetric coefficients: the first
+    """2(n+1)-1 free real parameters -> symmetric coefficients: the first
     coefficient is pinned real (global phase) and the norm is fixed by the
     residual's own normalization."""
-    coeff = np.empty(n + 1, dtype=complex)
-    coeff[0] = theta[0]
-    for j in range(1, n + 1):
-        coeff[j] = theta[2 * j - 1] + 1j * theta[2 * j]
-    return coeff
+    return np.insert(theta, 1, 0.0).view(complex)
 
 
-@lru_cache(maxsize=None)
-def _weight_table(n: int) -> np.ndarray:
-    return np.array([bin(i).count("1") for i in range(2**n)])
+def _mm_residual_grad(n: int, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Closed-form partial-state residual and its exact theta-gradient.
 
-
-def _mm_residual_fast(n: int, coeff: np.ndarray) -> float:
-    """Streamlined copy of criteria.mm_partial_residual for the inner search
-    loop (identical mathematics, no wrapper types).  The reported optimum is
-    always re-verified through the canonical path."""
-    amp = coeff[_weight_table(n)]
-    norm = np.linalg.norm(amp)
-    if norm < 1e-10:
-        return 1e6
-    amp = amp / norm
+    The m-qubit partial state of a symmetric state has rank at most m+1, so
+    the spectral residual of criteria.mm_partial_residual equals
+    R = tr(rho_m^2) - 1/(m+1) = f/g^2 - 1/(m+1), with M = J c the symmetric
+    Schmidt matrix, g = |M|_F^2 and f = |M M^H|_F^2.  Its Wirtinger derivative
+    dR/dconj(M) = 2 M M^H M / g^2 - 2 f M / g^3 is pulled back through J
+    (anti-diagonal sums k+l = j) onto each c_j, then onto theta as 2 Re/Im.
+    """
     m = n // 2
-    block = amp.reshape(2**m, 2 ** (n - m))
-    w = np.sort(np.linalg.eigvalsh(block @ block.conj().T))[::-1]
-    target = np.zeros(2**m)
-    target[: m + 1] = 1.0 / (m + 1)
-    return float(np.sum((w - target) ** 2))
+    jac = criteria.schmidt_map(n, m)
+    mat = jac @ _params_to_coeff(n, theta)
+    g = float(np.vdot(mat, mat).real)
+    if g < 1e-20:       # norm below 1e-10
+        return 1e6, np.zeros_like(theta)
+    rho = mat @ mat.conj().T
+    f = float(np.vdot(rho, rho).real)
+    dmat = 2.0 * (rho @ mat) / g**2 - (2.0 * f / g**3) * mat
+    dc = np.tensordot(dmat, jac, axes=2)
+    return f / g**2 - 1.0 / (m + 1), 2.0 * np.delete(dc.view(float), 1)
 
 
 def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
                       seed: int = 0) -> OptResult:
     """Minimize the maximally-mixed-partial-state residual over normalized
-    symmetric states by multi-start quasi-gradient descent (central
-    finite-difference gradient, backtracking line search).
+    symmetric states by multi-start gradient descent with a backtracking
+    line search, on the closed-form residual tr(rho_m^2) - 1/(m+1) and its
+    exact gradient (see _mm_residual_grad).  The reported optimum is
+    re-verified through the spectral criteria.mm_partial_residual.
 
     A residual at numerical zero certifies a state satisfying the criterion;
     a stubborn floor over many restarts is recorded as empirical evidence of
@@ -323,28 +315,16 @@ def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
     if tol <= 0:
         raise ValueError("tol must be positive")
     dim = 2 * (n + 1) - 1
-
-    def objective(theta: np.ndarray) -> float:
-        return _mm_residual_fast(n, _params_to_coeff(n, theta))
-
     best_val, best_state, best_converged = np.inf, None, False
     traces = []
     for r in range(restarts):
         rng = child_rng(seed, r)
         theta = rng.normal(size=dim)
-        f = objective(theta)
+        f, grad = _mm_residual_grad(n, theta)
         trace = [f]
         step = 0.25
         converged = False
         for _ in range(MAX_ITERATIONS):
-            grad = np.empty(dim)
-            for i in range(dim):
-                probe = theta.copy()
-                probe[i] += FD_STEP
-                up = objective(probe)
-                probe[i] -= 2 * FD_STEP
-                down = objective(probe)
-                grad[i] = (up - down) / (2 * FD_STEP)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-13 or f < 1e-14:
                 converged = True
@@ -352,10 +332,10 @@ def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
             accepted = False
             while step > 1e-14:
                 candidate = theta - step * grad
-                fc = objective(candidate)
+                fc, gc = _mm_residual_grad(n, candidate)
                 if fc < f - 1e-4 * step * gnorm**2:
                     improvement = f - fc
-                    theta, f = candidate, fc
+                    theta, f, grad = candidate, fc, gc
                     trace.append(f)
                     step = min(step * 2.0, 4.0)
                     accepted = True

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -39,6 +40,19 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def child_rng(seed: int, index: int) -> np.random.Generator:
+    """Counter-derived independent substream (stable across worker layouts)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+@lru_cache(maxsize=None)
+def hamming_weights(n: int) -> np.ndarray:
+    """Read-only table of the number of 1 bits of every index 0..2^n-1."""
+    table = np.array([bin(i).count("1") for i in range(2**n)])
+    table.setflags(write=False)
+    return table
 
 
 def pauli_dot(d: Sequence[float]) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, PureState
+from .qstate import MAX_QUBITS, PureState, hamming_weights
 
 NORM_MATCH_ATOL = 1e-12  # float embedding norm vs exact rational norm
 
@@ -212,11 +212,6 @@ def ghz(n: int, sign: int = 1) -> SymState:
     return SymState(n, coeff)
 
 
-@lru_cache(maxsize=None)
-def _weights(n: int) -> np.ndarray:
-    return np.array([bin(i).count("1") for i in range(2**n)])
-
-
 def _amp_by_weight(state: SymState) -> list:
     """Amplitude of any weight-w computational string, for w = 0..n.
 
@@ -253,7 +248,7 @@ def embed_vector(state: SymState) -> np.ndarray:
     """Raw (unnormalized) 2^n complex amplitude vector of the state."""
     values = _amp_by_weight(state)
     table = np.array([complex(v) for v in values])
-    return table[_weights(state.n)]
+    return table[hamming_weights(state.n)]
 
 
 def embed(state: SymState) -> PureState:

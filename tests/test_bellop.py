@@ -237,7 +237,40 @@ class TestFnmIdentity:
             fnm_identity_check(3, 3, 10, seed=0)
 
 
+def two_sign_ghz_settings(n: int) -> Settings:
+    """Reference: build the settings for both perpendicular signs, evaluate
+    each on the GHZ state and keep the better one (a tie keeps +1).  <B_n> is
+    taken as W_n . T, which equals bell_expectation without a dense
+    2^n x 2^n operator at n = 11, 12."""
+    corr = bellop._correlation_tensor(ghz_pure(n))
+
+    def xy(phi):
+        return np.array([np.cos(phi), np.sin(phi), 0.0])
+
+    best, best_val = None, -np.inf
+    for sign in (1, -1):
+        vecs = []
+        for j in range(1, n + 1):
+            phi = (j - 1) * ((-1) ** (n + 1)) * np.pi / (2 * n)
+            vecs.append((xy(phi), xy(phi + sign * np.pi / 2)))
+        st_ = Settings.from_pairs(vecs)
+        val = float(bellop._bell_weights(st_.vectors) @ corr)
+        if val > best_val:
+            best, best_val = st_, val
+    assert best_val == pytest.approx(2 ** ((n + 1) / 2), abs=1e-9)
+    return best
+
+
 class TestGhzOptimalSettings:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_form_sign_matches_two_sign_evaluation(self, n):
+        assert np.array_equal(ghz_optimal_settings(n).vectors,
+                              two_sign_ghz_settings(n).vectors)
+
+    def test_beyond_dense_operator_cap(self):
+        st_ = ghz_optimal_settings(bellop.MAX_OPERATOR_QUBITS + 4)
+        assert st_.n == bellop.MAX_OPERATOR_QUBITS + 4
+
     def test_n2_angles(self):
         st_ = ghz_optimal_settings(2)
         assert np.allclose(st_.direction(1, 0), [1, 0, 0], atol=1e-12)

@@ -71,6 +71,12 @@ class TestCertifyDepth:
         with pytest.raises(ValueError):
             certify_depth(1.0, 3, epsilon=-1e-3)
 
+    @pytest.mark.parametrize("value,epsilon", [(np.nan, 1e-9), (np.inf, 1e-9),
+                                               (3.0, np.nan), (3.0, np.inf)])
+    def test_non_finite_rejected(self, value, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            certify_depth(value, 3, epsilon=epsilon)
+
     def test_json_schema(self):
         obj = certify_depth(2.5, 3).to_json()
         assert set(obj) == {"n", "E", "epsilon", "thresholds",

@@ -121,6 +121,11 @@ class TestCriteria:
         obj = json.loads(out)
         assert obj["report"]["passed"] is True
 
+    def test_distribute_negative_trials_usage_error(self, capsys):
+        code, _, _ = run_cli(capsys, "criteria", "--which", "distribute",
+                             "--n", "3", "--k", "1", "--trials", "-5")
+        assert code == 2
+
     def test_malformed_state_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "amp": "nope"}')

@@ -107,6 +107,11 @@ class TestDistribute:
         with pytest.raises(ValueError):
             distribute_check(3, 3, trials=5, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_range(self, trials):
+        with pytest.raises(ValueError, match="trial"):
+            distribute_check(3, 1, trials=trials, seed=0)
+
 
 class TestMutualInformation:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellkit import criteria, optimize
+from bellkit import criteria, optimize, symstate
 from bellkit.bellop import _bell_operator_raw, _correlation_tensor
 from bellkit.optimize import (max_eigen_settings, max_violation_settings,
                               product_bound_max, search_mm_partial)
@@ -137,6 +139,39 @@ class TestProductBoundMax:
     def test_range_errors(self):
         with pytest.raises(ValueError):
             product_bound_max(3, 3, restarts=2, tol=1e-8, seed=0)
+
+
+def spectral_residual(n, theta):
+    """The dense partial-spectrum residual at the search parameters theta."""
+    coeff = optimize._params_to_coeff(n, theta)
+    return criteria.mm_partial_residual(symstate.SymState(n, list(coeff))).residual
+
+
+def fd_residual_gradient(n, theta, step=1e-6):
+    """Reference gradient: central differences of the spectral residual."""
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        probe = theta.copy()
+        probe[i] += step
+        up = spectral_residual(n, probe)
+        probe[i] -= 2 * step
+        grad[i] = (up - spectral_residual(n, probe)) / (2 * step)
+    return grad
+
+
+class TestClosedFormResidual:
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_spectral_residual_and_differences(self, n, seed):
+        theta = np.random.default_rng(seed).normal(size=2 * n + 1)
+        value, grad = optimize._mm_residual_grad(n, theta)
+        assert abs(value - spectral_residual(n, theta)) < 1e-12
+        assert np.max(np.abs(grad - fd_residual_gradient(n, theta))) < 1e-7
+
+    def test_zero_norm_guard(self):
+        value, grad = optimize._mm_residual_grad(3, np.zeros(7))
+        assert value == 1e6
+        assert not np.any(grad)
 
 
 class TestSearchMMPartial:
