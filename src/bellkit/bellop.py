@@ -23,11 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .qstate import PAULI_X, PAULI_Y, PAULI_Z, PureState, State, UNIT_ATOL, pauli_dot
+from .qstate import (PAULI_X, PAULI_Y, PAULI_Z, PureState, State, UNIT_ATOL, _contract_pairs,
+                     pauli_dot, require_finite)
 
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
 MAX_ENUM_QUBITS = 10       # 4^n assignment enumeration
@@ -45,7 +48,7 @@ class Settings:
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.vectors, dtype=float)
+        arr = require_finite(np.array(self.vectors, dtype=float), "measurement directions")
         if arr.ndim != 3 or arr.shape[1:] != (2, 3) or arr.shape[0] < 1:
             raise ValueError(f"expected shape (n, 2, 3), got {arr.shape}")
         norms = np.linalg.norm(arr, axis=2)
@@ -169,11 +172,15 @@ class CorrelatorPoly:
     """Multilinear expansion F_n = sum_c coeff(c) prod_j a_j^(c_j).
 
     Choice strings are 0/1 tuples per qubit (0 = unprimed); only nonzero
-    coefficients are stored.
+    coefficients are stored, in a read-only mapping.
     """
 
     n: int
-    coeffs: dict
+    coeffs: Mapping
+
+    def __post_init__(self):
+        # expand_correlators hands one cached instance to every caller
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
     def coefficient(self, choice: tuple[int, ...]) -> Fraction:
         return self.coeffs.get(tuple(choice), Fraction(0))
@@ -196,8 +203,10 @@ class CorrelatorPoly:
         return total
 
 
+@lru_cache(maxsize=None)
 def expand_correlators(n: int) -> CorrelatorPoly:
-    """Exact expansion of F_n over choice strings (rational coefficients)."""
+    """Exact expansion of F_n over choice strings (rational coefficients),
+    computed once per n."""
     if not 1 <= n <= 14:
         raise ValueError("expansion supports 1 <= n <= 14")
     coeffs: dict = {(UNPRIMED,): Fraction(2)}
@@ -240,13 +249,8 @@ def _correlation_tensor(state: State) -> np.ndarray:
     """Full-weight Pauli correlations T[mu_1..mu_n] = tr(rho sigma_mu1 (x) ...
     (x) sigma_mun), flattened with qubit 1 most significant (3^n real
     entries).  <B_n> is linear in T, so one T serves every setting."""
-    n = state.n
     rho = np.outer(state.amp, state.amp.conj()) if isinstance(state, PureState) else state.mat
-    arr = rho.reshape((2,) * (2 * n)).transpose([ax for q in range(n) for ax in (q, n + q)])
-    for _ in range(n):
-        # contract the leading qubit's (i, j) pair and rotate its Pauli index to the back
-        arr = (_PAULI_TRACE_ROWS @ arr.reshape(4, -1)).T
-    return arr.real.ravel()
+    return _contract_pairs(rho, [_PAULI_TRACE_ROWS] * state.n)
 
 
 def _lift_step(w: np.ndarray, wp: np.ndarray, a: np.ndarray, ap: np.ndarray):

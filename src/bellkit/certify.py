@@ -16,11 +16,13 @@ import numpy as np
 
 from . import optimize
 from .bellop import Settings, bell_expectation, expand_correlators
-from .qstate import DensityMatrix, State, child_rng, hamming_weights, outcome_distribution
+from .qstate import (DensityMatrix, PureState, State, _born_distribution, _eigenbasis_rows,
+                     _outcome_table, child_rng, hamming_weights)
 
 EXACT_EPSILON = 1e-9        # margin when certifying exact expectations
 ESTIMATE_SIGMA = 4.0        # margin in standard errors for estimates
 MIN_SHOTS = 100
+TABLE_BITS = 20             # a pure-state outcome table holds at most 2^20 entries
 
 
 def thresholds(n: int) -> np.ndarray:
@@ -88,6 +90,20 @@ def _parity_signs(n: int) -> np.ndarray:
     return np.where(hamming_weights(n) % 2 == 0, 1.0, -1.0)
 
 
+def _choice_table(state: State, rows: np.ndarray, prefix: tuple) -> np.ndarray:
+    """Outcome table with the leading qubits measured along the directions
+    ``prefix`` picks and every other qubit along both of its directions.
+    table[c], for the other qubits' choices c, is that term's unnormalized
+    2^n distribution with outcome bits in qubit order."""
+    lead, rest = len(prefix), len(rows) - len(prefix)
+    qubit_rows = [rows[j, c] for j, c in enumerate(prefix)] + list(rows[lead:].reshape(rest, 4, 2))
+    table = _outcome_table(state, qubit_rows).reshape((2,) * lead + (2, 2) * rest)
+    # axes: the leading qubits' bits, then (choice, bit) per other qubit
+    choices = [lead + 2 * i for i in range(rest)]
+    bits = list(range(lead)) + [c + 1 for c in choices]
+    return np.ascontiguousarray(table.transpose(choices + bits))
+
+
 def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> EstimateResult:
     """Simulate a finite-shot measurement of E(F_n).
 
@@ -99,16 +115,29 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     floor sqrt(4 p (1-p) / N), with p = (k+1)/(N+2) at k = N agreeing shots.
     Per-term substreams are spawned by counter, so the estimate is
     reproducible regardless of evaluation order.
+
+    The distributions are slices of one outcome table that measures every
+    qubit along both of its directions (4^n entries).  For a pure state above
+    n = TABLE_BITS / 2 the table is built once per choice of the leading
+    2n - TABLE_BITS qubits, so that no table exceeds 2^TABLE_BITS entries.
     """
     if shots_per_term < MIN_SHOTS:
         raise ValueError(f"need at least {MIN_SHOTS} shots per term")
-    poly = expand_correlators(st.n)
-    signs = _parity_signs(st.n)
+    if state.n != st.n:
+        raise ValueError(f"state has {state.n} qubits but settings have {st.n}")
+    n = st.n
+    lead = max(0, 2 * n - TABLE_BITS) if isinstance(state, PureState) else 0
+    # rows[j, c, b] = <outcome b of direction c of qubit j+1|  (b = 0 is +1)
+    rows = np.array([[_eigenbasis_rows(d) for d in pair] for pair in st.vectors])
+    signs = _parity_signs(n)
+    prefix = table = None
     total = 0.0
     var_total = 0.0
-    for idx, (choice, coeff) in enumerate(sorted(poly.items())):
-        bases = np.array([st.vectors[j, c] for j, c in enumerate(choice)])
-        probs = outcome_distribution(state, bases)
+    for idx, (choice, coeff) in enumerate(sorted(expand_correlators(n).items())):
+        if choice[:lead] != prefix:   # sorted order visits each prefix once
+            prefix = choice[:lead]
+            table = _choice_table(state, rows, prefix)
+        probs = _born_distribution(table[choice[lead:]].reshape(-1))
         rng = child_rng(seed, idx)
         draws = rng.choice(probs.size, size=shots_per_term, p=probs)
         products = signs[draws]

@@ -306,8 +306,9 @@ def _cmd_verify(args) -> int:
     fast = bool(getattr(args, "fast", False))
     cfg = RunConfig("verify", out=opts.get("out"), format=opts.get("format", "json"))
     results = verification.run_all(fast=fast)
-    for res in results:
-        print(f"{res.line()}  [{res.seconds:.1f}s]")
+    for res in results:   # wall times go to stderr so stdout replays byte for byte
+        print(res.line())
+        print(f"{res.check_id}  [{res.seconds:.1f}s]", file=sys.stderr)
     payload = {
         "config": _config_echo(cfg, {"fast": fast or None}),
         "results": [{"id": r.check_id, "description": r.description,

@@ -64,6 +64,14 @@ def pauli_dot(d: Sequence[float]) -> np.ndarray:
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
 
 
+def require_finite(values, what: str) -> np.ndarray:
+    """Return values as an array, raising ValueError on any NaN or infinity."""
+    arr = np.asarray(values)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite (no NaN or infinity)")
+    return arr
+
+
 def require_unit(d: Sequence[float]) -> np.ndarray:
     """Return d as a float array, raising unless ||d|| = 1 within UNIT_ATOL."""
     v = np.asarray(d, dtype=float)
@@ -117,7 +125,7 @@ class PureState:
 
     def __post_init__(self):
         n = _check_n(self.n)
-        amp = np.array(self.amp, dtype=complex).reshape(-1)
+        amp = require_finite(np.array(self.amp, dtype=complex).reshape(-1), "amplitudes")
         if amp.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes for n={n}, got {amp.shape[0]}")
         norm = np.linalg.norm(amp)
@@ -156,7 +164,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = _check_n(self.n)
-        mat = np.array(self.mat, dtype=complex)
+        mat = require_finite(np.array(self.mat, dtype=complex), "density matrix entries")
         d = 2**n
         if mat.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix for n={n}, got {mat.shape}")
@@ -370,31 +378,59 @@ def measure_sample(state: PureState, bases, subset: Iterable[int], seed: int) ->
     return MeasureResult(outcomes, PureState(n - k, branch), float(probs[idx]))
 
 
+def _contract_pairs(mat: np.ndarray, weights) -> np.ndarray:
+    """Contract each qubit's (row, col) index pair of a 2^n x 2^n Hermitian
+    matrix with that qubit's weight rows, ``weights[j]`` of shape (K_j, 4)
+    holding the weight of pair (i, j) at column 2i + j.  Every row weighs a
+    Hermitian 2x2 matrix, so the prod K_j results are real; they come back
+    flattened with qubit 1 most significant."""
+    n = len(weights)
+    arr = mat.reshape((2,) * (2 * n)).transpose([ax for q in range(n) for ax in (q, n + q)])
+    for w in weights:
+        # contract the leading qubit's pair and rotate its new index to the back
+        arr = (w @ arr.reshape(4, -1)).T
+    return arr.real.ravel()
+
+
+def _outcome_table(state: State, rows) -> np.ndarray:
+    """Born probabilities of every joint outcome of a product measurement.
+
+    ``rows[j]`` (shape (K_j, 2)) holds the bra rows <r| of qubit j+1; entry
+    [k_1, ..., k_n] of the result is the probability of projecting onto
+    |r_1k_1> (x) ... (x) |r_nk_n>.  One contraction per qubit.
+    """
+    if isinstance(state, PureState):
+        arr = state.amp
+        for r in rows:
+            # contract the leading amplitude axis and rotate the K outcomes to the back
+            arr = (r @ arr.reshape(2, -1)).T
+        table = np.abs(arr) ** 2
+    else:
+        # <r|rho|r> weighs the (i, j) entry of a qubit's pair by r[i] conj(r[j])
+        outer = [(r[:, :, None] * r[:, None, :].conj()).reshape(len(r), 4) for r in rows]
+        table = _contract_pairs(state.mat, outer)
+    return table.reshape([len(r) for r in rows])
+
+
+def _born_distribution(probs: np.ndarray) -> np.ndarray:
+    """Clip round-off negatives and renormalize, raising unless the raw
+    probabilities sum to 1 within PROBABILITY_ATOL."""
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum()
+    if abs(total - 1.0) > PROBABILITY_ATOL:
+        raise RuntimeError(f"outcome probabilities sum to {total!r}")
+    return probs / total
+
+
 def outcome_distribution(state: State, bases) -> np.ndarray:
     """Joint outcome probabilities for measuring every qubit along ``bases``.
 
     The result has 2^n entries indexed by outcome bits in qubit order
     (qubit 1 = most significant bit); bit 0 means outcome +1.
     """
-    n = state.n
-    dirs = as_bases(bases, n)
-    if isinstance(state, PureState):
-        arr = state.amp.reshape([2] * n)
-        for q in range(n):
-            arr = _apply_1q(arr, _eigenbasis_rows(dirs[q]), q)
-        probs = np.abs(arr.reshape(-1)) ** 2
-    else:
-        arr = state.mat.reshape([2] * (2 * n))
-        for q in range(n):
-            m = _eigenbasis_rows(dirs[q])
-            arr = _apply_1q(arr, m, q)
-            arr = _apply_1q(arr, m.conj(), n + q)
-        probs = np.diag(arr.reshape(2**n, 2**n)).real.copy()
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > PROBABILITY_ATOL:
-        raise RuntimeError(f"outcome probabilities sum to {total!r}")
-    return probs / total
+    dirs = as_bases(bases, state.n)
+    table = _outcome_table(state, [_eigenbasis_rows(d) for d in dirs])
+    return _born_distribution(table.reshape(-1))
 
 
 def overlap(a: PureState, b: PureState) -> complex:

@@ -114,6 +114,13 @@ class TestExpandCorrelators:
             (1, 0, 0): Fraction(1), (1, 1, 1): Fraction(-1),
         }
 
+    def test_cached_expansion_is_read_only(self):
+        poly = expand_correlators(3)
+        assert expand_correlators(3) is poly
+        with pytest.raises(TypeError):
+            poly.coeffs[(0, 0, 0)] = Fraction(1)
+        assert poly.coefficient((0, 0, 0)) == 0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
     def test_evaluation_matches_recursion(self, n):
         poly = expand_correlators(n)
@@ -151,6 +158,18 @@ class TestBellOperator:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             Settings.from_pairs([((0, 0, 2), (1, 0, 0))])
+
+    @given(st.integers(1, 5), st.integers(0, 2**16),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_rejected(self, n, pos, bad, everywhere):
+        vecs = np.tile([0.0, 0.0, 1.0], (n, 2, 1))
+        if everywhere:
+            vecs[:] = bad
+        else:
+            vecs.reshape(-1)[pos % (6 * n)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Settings(vecs)
 
 
 class TestBellExpectation:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,28 @@ from bellkit.bellop import Settings, bell_expectation, expand_correlators, ghz_o
 from bellkit.certify import (certify_depth, estimate_E,
                              example_rho3, rho3_listed_settings, rho3_state,
                              thresholds)
-from bellkit.qstate import DensityMatrix, PureState, tensor
+from bellkit.qstate import DensityMatrix, PureState, child_rng, outcome_distribution, tensor
 
-from conftest import ghz_pure
+from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
+
+
+def per_term_estimate(state, st_, shots_per_term, seed):
+    """Reference estimator: one outcome_distribution call per correlator term,
+    in sorted term order, each term sampled from its own counter substream."""
+    signs = np.where(np.array([bin(i).count("1") for i in range(2**st_.n)]) % 2 == 0, 1.0, -1.0)
+    total = var_total = 0.0
+    for idx, (choice, coeff) in enumerate(sorted(expand_correlators(st_.n).items())):
+        bases = np.array([st_.vectors[j, c] for j, c in enumerate(choice)])
+        probs = outcome_distribution(state, bases)
+        draws = child_rng(seed, idx).choice(probs.size, size=shots_per_term, p=probs)
+        products = signs[draws]
+        stderr = float(products.std(ddof=1) / np.sqrt(shots_per_term))
+        if stderr == 0.0:
+            p = (shots_per_term + 1) / (shots_per_term + 2)
+            stderr = float(np.sqrt(4 * p * (1 - p) / shots_per_term))
+        total += float(coeff) * float(products.mean())
+        var_total += (float(coeff) * stderr) ** 2
+    return certify.EstimateResult(total, float(np.sqrt(var_total)))
 
 
 class TestThresholds:
@@ -141,6 +162,36 @@ class TestEstimateE:
     def test_minimum_shots(self):
         with pytest.raises(ValueError):
             estimate_E(ghz_pure(2), ghz_optimal_settings(2), 50, seed=0)
+
+    def test_qubit_count_mismatch(self):
+        with pytest.raises(ValueError, match="state has 3 qubits but settings have 4"):
+            estimate_E(ghz_pure(3), ghz_optimal_settings(4), 200, seed=0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_per_term_reference(self, n, mixed, rng):
+        if mixed:
+            state = random_density(n, rng) if n <= 6 else criteria.depolarize(
+                ghz_pure(n).to_density(), 0.1)
+        else:
+            state = random_pure(n, rng)
+        for st_ in (ghz_optimal_settings(n), Settings(random_unit_vectors(n, rng))):
+            for seed in (0, 5, 9):
+                assert estimate_E(state, st_, 300, seed) == per_term_estimate(state, st_, 300, seed)
+
+    def test_pure_table_is_built_in_pieces(self):
+        # one 4^12-entry table of float64 would take 128 MiB
+        n = 12
+        psi, st_ = ghz_pure(n), ghz_optimal_settings(n)
+        expand_correlators(n)
+        tracemalloc.start()
+        try:
+            est = estimate_E(psi, st_, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**certify.TABLE_BITS * 16
+        assert est.value == pytest.approx(2**6.5, abs=8 * est.stderr)
 
 
 class TestWorkedExample:

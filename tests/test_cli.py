@@ -15,6 +15,55 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# stdout of `certify --estimate` on the Werner-GHZ n=5 state below, recorded
+# before the estimator read its distributions from a shared outcome table
+WERNER5_ESTIMATE_STDOUT = """\
+{
+  "certificate": {
+    "E": 6.064000000000001,
+    "certified_entangled": 5,
+    "epsilon": 0.11668044893460852,
+    "flags": [],
+    "max_consistent_independent": 0,
+    "n": 5,
+    "thresholds": [
+      8.0,
+      5.656854249492381,
+      4.0,
+      2.8284271247461903,
+      2.0,
+      1.4142135623730951
+    ]
+  },
+  "config": {
+    "command": "certify",
+    "estimate": true,
+    "format": "json",
+    "restarts": 20,
+    "seed": 11,
+    "settings": "settings.json",
+    "shots": 2000,
+    "state": "state.json",
+    "tol": 1e-09
+  },
+  "estimate": {
+    "E": 6.064000000000001,
+    "stderr": 0.02917011223365213
+  }
+}
+"""
+
+
+def run_estimate(capsys, tmp_path, monkeypatch, state, n):
+    """`certify --estimate` at seed 11, 2000 shots, GHZ-optimal settings,
+    with relative file names so the echoed configuration is fixed."""
+    monkeypatch.chdir(tmp_path)
+    qstate.save_state("state.json", state)
+    ghz_optimal_settings(n).save("settings.json")
+    return run_cli(capsys, "certify", "--estimate", "--state", "state.json",
+                   "--settings", "settings.json", "--shots", "2000", "--seed", "11")
+
+
 class TestBellmax:
     def test_n2(self, capsys):
         code, out, _ = run_cli(capsys, "bellmax", "--n", "2", "--restarts", "6",
@@ -74,6 +123,31 @@ class TestCertify:
         obj = json.loads(out)
         assert obj["estimate"]["E"] == pytest.approx(2**2.5, abs=0.05)
         assert obj["certificate"]["certified_entangled"] == 4
+
+    def test_estimate_replays_werner5_byte_for_byte(self, capsys, tmp_path, monkeypatch):
+        ghz = ghz_pure(5).amp
+        rho = 0.75 * np.outer(ghz, ghz.conj()) + 0.25 * np.eye(32) / 32
+        code, out, _ = run_estimate(capsys, tmp_path, monkeypatch,
+                                    qstate.DensityMatrix(5, rho), 5)
+        assert code == 0
+        assert out == WERNER5_ESTIMATE_STDOUT
+
+    def test_estimate_replays_ghz6(self, capsys, tmp_path, monkeypatch):
+        code, out, _ = run_estimate(capsys, tmp_path, monkeypatch, ghz_pure(6), 6)
+        assert code == 0
+        assert json.loads(out)["estimate"] == {"E": 11.344, "stderr": 0.03153587648620022}
+
+    def test_estimate_non_finite_state_usage_error(self, capsys, tmp_path):
+        state_file = tmp_path / "nan.json"
+        settings_file = tmp_path / "settings.json"
+        state_file.write_text('{"n": 2, "amp": [[NaN, 0], [1, 0], [0, 0], [1, 0]]}')
+        ghz_optimal_settings(2).save(settings_file)
+        code, out, err = run_cli(capsys, "certify", "--estimate",
+                                 "--state", str(state_file),
+                                 "--settings", str(settings_file))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_csv_thresholds(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--n", "3", "--E", "2.5",
@@ -224,6 +298,17 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
+
+    def test_stdout_independent_of_wall_times(self, capsys, monkeypatch):
+        outs = []
+        for seconds in (0.04, 7.3):
+            res = verification.CheckResult("a", "desc", True, seconds=seconds)
+            monkeypatch.setattr(verification, "run_all", lambda fast, res=res: [res])
+            code, out, err = run_cli(capsys, "verify")
+            assert code == 0
+            assert f"[{seconds:.1f}s]" in err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_out_file(self, capsys, tmp_path, monkeypatch):
         good = verification.CheckResult("a", "desc", True)

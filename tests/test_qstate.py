@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkit import qstate
 from bellkit.qstate import (DensityMatrix, PureState, measure_sample,
@@ -9,10 +11,34 @@ from bellkit.qstate import (DensityMatrix, PureState, measure_sample,
                             power_max_eigenvalue, spectrum, tensor, x_bases,
                             z_bases)
 
-from conftest import ghz_pure, random_density, random_pure
+from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
 
 
 SQ2 = 1 / np.sqrt(2)
+
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan),
+                              complex(np.inf, 1), complex(1, -np.inf)])
+
+
+def rotated_distribution(state, dirs):
+    """Reference: rotate every qubit into its measurement eigenbasis with one
+    2x2 matrix per tensor axis (both sides of rho) and read the diagonal."""
+    def apply_1q(arr, m, axis):
+        return np.moveaxis(np.tensordot(m, arr, axes=([1], [axis])), 0, axis)
+
+    n = state.n
+    if isinstance(state, PureState):
+        arr = state.amp.reshape([2] * n)
+        for q in range(n):
+            arr = apply_1q(arr, qstate._eigenbasis_rows(dirs[q]), q)
+        probs = np.abs(arr.reshape(-1)) ** 2
+    else:
+        arr = state.mat.reshape([2] * (2 * n))
+        for q in range(n):
+            m = qstate._eigenbasis_rows(dirs[q])
+            arr = apply_1q(apply_1q(arr, m, q), m.conj(), n + q)
+        probs = np.diag(arr.reshape(2**n, 2**n)).real
+    return probs / probs.sum()
 
 
 class TestConstruction:
@@ -35,6 +61,22 @@ class TestConstruction:
         psi = PureState(1, [1.0, 0.0])
         with pytest.raises(ValueError):
             psi.amp[0] = 0.5
+
+    @given(st.integers(1, 4), st.integers(0, 2**16), non_finite)
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_amplitudes_rejected(self, n, pos, bad):
+        amp = np.full(2**n, 1.0 + 0j)
+        amp[pos % 2**n] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PureState(n, amp)
+
+    @given(st.integers(1, 4), st.integers(0, 2**16), non_finite)
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_density_rejected(self, n, pos, bad):
+        mat = np.eye(2**n, dtype=complex) / 2**n
+        mat.reshape(-1)[pos % 4**n] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(n, mat)
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
@@ -237,6 +279,27 @@ class TestOutcomeDistribution:
         p2 = outcome_distribution(psi.to_density(), dirs)
         assert np.allclose(p1, p2, atol=1e-12)
         assert p1.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_axis_rotation(self, n, mixed, rng):
+        state = random_density(n, rng) if mixed else random_pure(n, rng)
+        dirs = random_unit_vectors(n, rng)[:, 0]
+        assert np.max(np.abs(outcome_distribution(state, dirs)
+                             - rotated_distribution(state, dirs))) <= 1e-14
+
+    @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_both_directions_table_slices_sum_to_one(self, n, mixed, seed):
+        # four rows per qubit: outcomes +1, -1 of a_j, then of a_j'
+        rng = np.random.default_rng(seed)
+        state = random_density(n, rng) if mixed else random_pure(n, rng)
+        rows = np.array([[qstate._eigenbasis_rows(d) for d in pair]
+                         for pair in random_unit_vectors(n, rng)]).reshape(n, 4, 2)
+        table = qstate._outcome_table(state, rows)
+        assert table.shape == (4,) * n
+        sums = table.reshape((2, 2) * n).sum(axis=tuple(range(1, 2 * n, 2)))
+        assert np.max(np.abs(sums - 1.0)) <= qstate.PROBABILITY_ATOL
 
     def test_sampled_frequencies_match(self, rng):
         # spec-scale statistical audit: 1e5 seeded shots vs the marginal
