@@ -122,6 +122,7 @@ def _cmd_bellmax(args) -> int:
         "deviation": abs(res.best_value - target),
         "settings": res.best_settings.to_json(),
         "converged": res.converged,
+        "restart_status": {s: res.statuses.count(s) for s in optimize.RESTART_STATUSES},
     }
     _emit(payload, cfg.out, cfg.format)
     return EXIT_OK
@@ -306,13 +307,12 @@ def _cmd_verify(args) -> int:
     fast = bool(getattr(args, "fast", False))
     cfg = RunConfig("verify", out=opts.get("out"), format=opts.get("format", "json"))
     results = verification.run_all(fast=fast)
-    for res in results:   # wall times go to stderr so stdout replays byte for byte
+    for res in results:   # wall times go to stderr only, so stdout and --out replay
         print(res.line())
         print(f"{res.check_id}  [{res.seconds:.1f}s]", file=sys.stderr)
     payload = {
         "config": _config_echo(cfg, {"fast": fast or None}),
-        "results": [{"id": r.check_id, "description": r.description,
-                     "passed": r.passed, "seconds": round(r.seconds, 3)}
+        "results": [{"id": r.check_id, "description": r.description, "passed": r.passed}
                     for r in results],
         "all_passed": all(r.passed for r in results),
     }

@@ -12,17 +12,21 @@ updated, and reads the coefficients of a_j and a_j' from one contraction of T
 per qubit.  T is built once per state.  Dense operators remain only for the
 eigenvalue steps and for re-verifying every reported optimum.
 
-All routines are deterministic: restart r draws from a child generator
-spawned by counter from the caller's seed, so results are independent of
-evaluation order, and ties between restarts resolve to the lowest index: a
-later restart replaces the best only when it beats it by more than
-ASCENT_SLACK.
+Every optimizer runs through one multi-start driver, _multistart, and keeps
+only its per-restart step generator and its re-verification.  The driver
+draws restart r from a child generator spawned by counter from the caller's
+seed (results are independent of evaluation order), checks every step
+against ASCENT_SLACK, stops a restart at a gain below tol, keeps the lowest
+restart index on ties (a later restart wins only by more than ASCENT_SLACK),
+re-verifies the best value to VERIFY_ATOL, and records how each restart
+ended: "converged", "stalled" or "capped" (see RESTART_STATUSES).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +40,7 @@ BACKTRACK_FACTOR = 0.5    # line-search shrink factor
 MAX_ITERATIONS = 500      # per-restart iteration cap
 ASCENT_SLACK = 1e-12      # allowed arithmetic regression per accepted step
 VERIFY_ATOL = 1e-10       # argmax re-evaluation tolerance
+RESTART_STATUSES = ("converged", "stalled", "capped")
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,8 @@ class OptResult:
 
     ``direction`` is "max" or "min"; traces improve monotonically in that
     direction within every restart, and best_value is the corresponding
-    extremum over all traces.
+    extremum over all traces.  ``statuses`` says how each restart ended (one
+    of RESTART_STATUSES); ``converged`` is "the best restart was not capped".
     """
 
     best_value: float
@@ -54,6 +60,7 @@ class OptResult:
     traces: tuple
     converged: bool
     direction: str = "max"
+    statuses: tuple = ()
 
     def to_json(self) -> dict:
         out = {
@@ -62,6 +69,7 @@ class OptResult:
             "converged": self.converged,
             "direction": self.direction,
             "traces": [list(map(float, t)) for t in self.traces],
+            "statuses": list(self.statuses),
         }
         if self.best_settings is not None:
             out["settings"] = self.best_settings.to_json()
@@ -114,74 +122,94 @@ def _coordinate_sweep(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     return vectors, float(np.sum(g * vectors[-1]))
 
 
+def _multistart(search, finish, restarts: int, seed: int, tol: float,
+                direction: str = "max") -> OptResult:
+    """The restart frame every optimizer runs through.
+
+    ``search(rng)`` is a generator for one restart.  It yields
+    ``(value, stop, point)`` at its random start and then once per step:
+    the objective at the iterate ``point`` (``value`` None when the step
+    found no new iterate), and ``stop``, None to go on or the status that
+    ends the restart, after which the generator is not resumed.  A gain
+    below ``tol`` ends it as "converged"; MAX_ITERATIONS steps end it as
+    "capped".  ``finish(point)`` turns the best restart's iterate into
+    ``(settings, state, value)`` with the value recomputed independently.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    sign = 1.0 if direction == "max" else -1.0
+    best_score, best, best_point = -np.inf, None, None
+    traces, statuses = [], []
+    for r in range(restarts):
+        steps = search(child_rng(seed, r))
+        value, _, point = next(steps)
+        trace, status = [value], "capped"
+        for _ in range(MAX_ITERATIONS):
+            value, stop, iterate = next(steps)
+            if value is not None:
+                gain = sign * (value - trace[-1])
+                if gain < -ASCENT_SLACK:
+                    raise RuntimeError(f"optimizer step regressed ({direction}imizing)")
+                trace.append(value)
+                point = iterate
+                stop = "converged" if gain < tol else stop
+            if stop:
+                status = stop
+                break
+        traces.append(tuple(trace))
+        statuses.append(status)
+        if sign * trace[-1] > best_score + ASCENT_SLACK:
+            best_score, best, best_point = sign * trace[-1], r, point
+    best_value = traces[best][-1]
+    settings, state, check = finish(best_point)
+    if abs(check - best_value) > VERIFY_ATOL:
+        raise RuntimeError("optimizer result failed re-verification")
+    return OptResult(best_value, settings, state, restarts, tuple(traces),
+                     statuses[best] != "capped", direction, tuple(statuses))
+
+
 def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
                            seed: int = 0) -> OptResult:
     """Maximize <B_n> over measurement settings for a fixed state."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if state.n > 10:
         raise ValueError("settings optimization supports n <= 10")
     corr = _correlation_tensor(state)
-    best_val, best_st, best_converged = -np.inf, None, False
-    traces = []
-    for r in range(restarts):
-        rng = child_rng(seed, r)
+
+    def ascent(rng):
         vectors = _random_unit_vectors(rng, state.n)
-        trace = [float(_bell_weights(vectors) @ corr)]
-        converged = False
-        for _ in range(MAX_ITERATIONS):
+        value = float(_bell_weights(vectors) @ corr)
+        while True:
+            yield value, None, vectors
             vectors, value = _coordinate_sweep(corr, vectors)
-            if value < trace[-1] - ASCENT_SLACK:
-                raise RuntimeError("coordinate ascent regressed")
-            improved = value - trace[-1]
-            trace.append(value)
-            if improved < tol:
-                converged = True
-                break
-        traces.append(tuple(trace))
-        if trace[-1] > best_val + ASCENT_SLACK:
-            best_val, best_st, best_converged = trace[-1], Settings(vectors), converged
-    check = bell_expectation(state, best_st)
-    if abs(check - best_val) > VERIFY_ATOL:
-        raise RuntimeError("optimizer result failed re-verification")
-    return OptResult(best_val, best_st, None, restarts, tuple(traces), best_converged)
+
+    def finish(vectors):
+        st = Settings(vectors)
+        return st, None, bell_expectation(state, st)
+
+    return _multistart(ascent, finish, restarts, seed, tol)
 
 
 def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
                        seed: int = 0) -> OptResult:
     """Maximize the largest eigenvalue of B_n over settings by alternating
     top-eigenvector extraction with coordinate ascent on that eigenvector."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not 2 <= n <= 10:
         raise ValueError("eigenvalue optimization supports 2 <= n <= 10")
-    best_val, best_st, best_converged = -np.inf, None, False
-    traces = []
-    for r in range(restarts):
-        rng = child_rng(seed, r)
+
+    def ascent(rng):
         vectors = _random_unit_vectors(rng, n)
-        w, v = np.linalg.eigh(_bell_operator_raw(vectors))
-        trace = [float(w[-1])]
-        converged = False
-        for _ in range(MAX_ITERATIONS):
+        while True:
+            w, v = np.linalg.eigh(_bell_operator_raw(vectors))
+            yield float(w[-1]), None, vectors
             eigvec = PureState(n, v[:, -1])
             vectors, _ = _coordinate_sweep(_correlation_tensor(eigvec), vectors)
-            w, v = np.linalg.eigh(_bell_operator_raw(vectors))
-            lam = float(w[-1])
-            if lam < trace[-1] - ASCENT_SLACK:
-                raise RuntimeError("eigenvalue ascent regressed")
-            improved = lam - trace[-1]
-            trace.append(lam)
-            if improved < tol:
-                converged = True
-                break
-        traces.append(tuple(trace))
-        if trace[-1] > best_val + ASCENT_SLACK:
-            best_val, best_st, best_converged = trace[-1], Settings(vectors), converged
-    check = float(np.linalg.eigvalsh(_bell_operator_raw(best_st.vectors))[-1])
-    if abs(check - best_val) > VERIFY_ATOL:
-        raise RuntimeError("optimizer result failed re-verification")
-    return OptResult(best_val, best_st, None, restarts, tuple(traces), best_converged)
+
+    def finish(vectors):
+        return Settings(vectors), None, float(np.linalg.eigvalsh(_bell_operator_raw(vectors))[-1])
+
+    return _multistart(ascent, finish, restarts, seed, tol)
 
 
 def _effective_operator(bmat: np.ndarray, n: int, fixed: Sequence, free: Sequence[int]) -> np.ndarray:
@@ -217,55 +245,32 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
         raise ValueError("need 1 <= m < n <= 8")
     block_qubits = tuple(range(n - m))
     single_qubits = list(range(n - m, n))
-    best_val, best_st, best_state, best_converged = -np.inf, None, None, False
-    traces = []
-    for r in range(restarts):
-        rng = child_rng(seed, r)
+
+    def ascent(rng):
         vectors = _random_unit_vectors(rng, n)
         block = rng.normal(size=2 ** (n - m)) + 1j * rng.normal(size=2 ** (n - m))
         block /= np.linalg.norm(block)
         singles = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in single_qubits]
         singles = [s / np.linalg.norm(s) for s in singles]
-
-        def assemble() -> PureState:
-            full = block
-            for s in singles:
-                full = np.kron(full, s)
-            return PureState(n, full)
-
-        corr = _correlation_tensor(assemble())
-        trace = [float(_bell_weights(vectors) @ corr)]
-        converged = False
-        for _ in range(MAX_ITERATIONS):
+        while True:
+            state = PureState(n, reduce(np.kron, singles, block))
+            corr = _correlation_tensor(state)
+            yield float(_bell_weights(vectors) @ corr), None, (vectors, state)
             vectors, _ = _coordinate_sweep(corr, vectors)
             b = _bell_operator_raw(vectors)
             fixed = [((q,), s) for q, s in zip(single_qubits, singles)]
-            eff = _effective_operator(b, n, fixed, block_qubits)
-            w, v = np.linalg.eigh(eff)
-            block = v[:, -1]
+            block = np.linalg.eigh(_effective_operator(b, n, fixed, block_qubits))[1][:, -1]
             for i, q in enumerate(single_qubits):
                 fixed = [(block_qubits, block)]
                 fixed += [((qq,), ss) for qq, ss in zip(single_qubits, singles) if qq != q]
-                eff2 = _effective_operator(b, n, fixed, [q])
-                w2, v2 = np.linalg.eigh(eff2)
-                singles[i] = v2[:, -1]
-            corr = _correlation_tensor(assemble())
-            value = float(_bell_weights(vectors) @ corr)
-            if value < trace[-1] - ASCENT_SLACK:
-                raise RuntimeError("alternating ascent regressed")
-            improved = value - trace[-1]
-            trace.append(value)
-            if improved < tol:
-                converged = True
-                break
-        traces.append(tuple(trace))
-        if trace[-1] > best_val + ASCENT_SLACK:
-            best_val, best_st, best_state = trace[-1], Settings(vectors), assemble()
-            best_converged = converged
-    check = bell_expectation(best_state, best_st)
-    if abs(check - best_val) > VERIFY_ATOL:
-        raise RuntimeError("optimizer result failed re-verification")
-    return OptResult(best_val, best_st, best_state, restarts, tuple(traces), best_converged)
+                singles[i] = np.linalg.eigh(_effective_operator(b, n, fixed, [q]))[1][:, -1]
+
+    def finish(point):
+        vectors, state = point
+        st = Settings(vectors)
+        return st, state, bell_expectation(state, st)
+
+    return _multistart(ascent, finish, restarts, seed, tol)
 
 
 def _params_to_coeff(n: int, theta: np.ndarray) -> np.ndarray:
@@ -312,51 +317,34 @@ def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
     """
     if not 2 <= n <= 8:
         raise ValueError("search supports 2 <= n <= 8")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dim = 2 * (n + 1) - 1
-    best_val, best_state, best_converged = np.inf, None, False
-    traces = []
-    for r in range(restarts):
-        rng = child_rng(seed, r)
-        theta = rng.normal(size=dim)
+
+    def descent(rng):
+        theta = rng.normal(size=2 * (n + 1) - 1)
         f, grad = _mm_residual_grad(n, theta)
-        trace = [f]
         step = 0.25
-        converged = False
-        for _ in range(MAX_ITERATIONS):
+        yield f, None, theta
+        while True:
             gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-13 or f < 1e-14:
-                converged = True
-                break
-            accepted = False
+            if gnorm < 1e-13 or f < 1e-14:     # gradient or residual floor
+                yield None, "converged", None
             while step > 1e-14:
                 candidate = theta - step * grad
                 fc, gc = _mm_residual_grad(n, candidate)
                 if fc < f - 1e-4 * step * gnorm**2:
-                    improvement = f - fc
-                    theta, f, grad = candidate, fc, gc
-                    trace.append(f)
-                    step = min(step * 2.0, 4.0)
-                    accepted = True
                     break
                 step *= BACKTRACK_FACTOR
-            if not accepted:
-                converged = True
-                break
+            else:
+                yield None, "stalled", None     # no step accepted
             # Relative stall: near a strictly positive local floor the gain
             # per step collapses relative to f, while genuine descent toward
             # zero keeps a roughly constant gain/f ratio.
-            if improvement < max(tol, 1e-6 * f):
-                converged = True
-                break
-        traces.append(tuple(trace))
-        if trace[-1] < best_val - ASCENT_SLACK:
-            best_val = trace[-1]
-            best_state = symstate.SymState(n, list(_params_to_coeff(n, theta)))
-            best_converged = converged
-    check = criteria.mm_partial_residual(best_state).residual
-    if abs(check - best_val) > VERIFY_ATOL:
-        raise RuntimeError("optimizer result failed re-verification")
-    return OptResult(best_val, None, best_state, restarts, tuple(traces), best_converged,
-                     direction="min")
+            stalled = f - fc < 1e-6 * fc
+            theta, f, grad = candidate, fc, gc
+            step = min(step * 2.0, 4.0)
+            yield f, "stalled" if stalled else None, theta
+
+    def finish(theta):
+        state = symstate.SymState(n, list(_params_to_coeff(n, theta)))
+        return None, state, criteria.mm_partial_residual(state).residual
+
+    return _multistart(descent, finish, restarts, seed, tol, direction="min")

@@ -128,9 +128,14 @@ class PureState:
         amp = require_finite(np.array(self.amp, dtype=complex).reshape(-1), "amplitudes")
         if amp.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes for n={n}, got {amp.shape[0]}")
-        norm = np.linalg.norm(amp)
-        if norm < 1e-150:
-            raise ValueError("cannot normalize the zero vector")
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.linalg.norm(amp)
+        if not 1e-150 <= norm < np.inf:    # the square sum over- or underflowed
+            scale = np.max(np.abs(amp))
+            if scale == 0:
+                raise ValueError("cannot normalize the zero vector")
+            amp = amp / scale
+            norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > NORM_ATOL:
             amp = amp / norm
         amp.setflags(write=False)

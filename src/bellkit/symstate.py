@@ -37,7 +37,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, PureState, hamming_weights
+from .qstate import MAX_QUBITS, PureState, hamming_weights, require_finite
 
 NORM_MATCH_ATOL = 1e-12  # float embedding norm vs exact rational norm
 
@@ -148,8 +148,10 @@ def _coerce_coeffs(values: Iterable) -> tuple[Coefficient, ...]:
         elif isinstance(v, str):
             exact.append(parse_rational_complex(v))
         else:
-            return tuple(complex(parse_rational_complex(x)) if isinstance(x, str)
-                         else complex(x) for x in values)
+            floats = tuple(complex(parse_rational_complex(x)) if isinstance(x, str)
+                           else complex(x) for x in values)
+            require_finite(floats, "coefficients")
+            return floats
     return tuple(exact)
 
 

@@ -84,6 +84,18 @@ class TestBellmax:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+        counts = json.loads(out1)["restart_status"]
+        assert set(counts) == {"converged", "stalled", "capped"}
+        assert sum(counts.values()) == 4
+
+    @pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--restarts", "-1"),
+                                            ("--tol", "nan"), ("--tol", "inf"),
+                                            ("--tol", "0")])
+    def test_bad_restarts_or_tol_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "bellmax", "--n", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag[2:] in err
 
 
 class TestCertify:
@@ -309,6 +321,16 @@ class TestVerifyCommand:
             assert f"[{seconds:.1f}s]" in err
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_out_file_independent_of_wall_times(self, capsys, tmp_path, monkeypatch):
+        files, path = [], tmp_path / "verify.json"
+        for seconds in (0.04, 7.3):
+            res = verification.CheckResult("a", "desc", True, seconds=seconds)
+            monkeypatch.setattr(verification, "run_all", lambda fast, res=res: [res])
+            code, _, _ = run_cli(capsys, "verify", "--out", str(path))
+            assert code == 0
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
 
     def test_out_file(self, capsys, tmp_path, monkeypatch):
         good = verification.CheckResult("a", "desc", True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bellkit import criteria, optimize, symstate
 from bellkit.bellop import _bell_operator_raw, _correlation_tensor
-from bellkit.optimize import (max_eigen_settings, max_violation_settings,
+from bellkit.optimize import (MAX_ITERATIONS, max_eigen_settings, max_violation_settings,
                               product_bound_max, search_mm_partial)
 from bellkit.qstate import PureState
 
@@ -203,6 +203,54 @@ class TestSearchMMPartial:
             search_mm_partial(1, restarts=2, seed=0)
 
 
+# the four optimizers at a cheap size, as (n, seed, **kwargs) -> OptResult
+OPTIMIZERS = {
+    "violation": lambda n, seed, **kw: max_violation_settings(
+        random_pure(n, np.random.default_rng(seed)), seed=seed, **kw),
+    "eigen": lambda n, seed, **kw: max_eigen_settings(n, seed=seed, **kw),
+    "product": lambda n, seed, **kw: product_bound_max(n, 1, seed=seed, **kw),
+    "mm": lambda n, seed, **kw: search_mm_partial(n, seed=seed, **kw),
+}
+
+
+class TestMultistartDriver:
+    @pytest.mark.parametrize("kind", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -1},
+                                     {"tol": 0.0}, {"tol": -1.0},
+                                     {"tol": float("nan")}, {"tol": float("inf")}])
+    def test_bad_restarts_and_tol_rejected(self, kind, bad):
+        kwargs = {"restarts": 1, "tol": 1e-9, **bad}
+        with pytest.raises(ValueError, match="restarts|tol"):
+            OPTIMIZERS[kind](2, 0, **kwargs)
+
+    def test_capped_restart_reported(self):
+        res = search_mm_partial(3, restarts=1, seed=33402888)
+        assert res.statuses == ("capped",)
+        assert res.converged is False
+        assert len(res.traces[0]) == MAX_ITERATIONS + 1
+
+    @given(st.sampled_from(sorted(OPTIMIZERS)), st.integers(2, 5),
+           st.integers(0, 2**16), st.sampled_from([1e-12, 1e-9, 1e-4]))
+    @settings(max_examples=30, deadline=None)
+    def test_status_explains_how_the_restart_ended(self, kind, n, seed, tol):
+        res = OPTIMIZERS[kind](n, seed, restarts=1, tol=tol)
+        (trace,), (status,) = res.traces, res.statuses
+        assert res.converged == (status != "capped")
+        if status == "capped":
+            assert len(trace) == MAX_ITERATIONS + 1
+        elif status == "converged":
+            sign = 1.0 if res.direction == "max" else -1.0
+            below_tol = len(trace) > 1 and sign * (trace[-1] - trace[-2]) < tol
+            floor = False
+            if kind == "mm":    # the search's gradient and residual floors
+                theta = np.delete(res.best_state.as_complex().view(float), 1)
+                _, grad = optimize._mm_residual_grad(n, theta)
+                floor = trace[-1] < 1e-14 or np.linalg.norm(grad) < 1e-13
+            assert below_tol or floor
+        else:
+            assert status == "stalled" and kind == "mm"
+
+
 class TestOptResultSerialization:
     def test_json_round_trip_fields(self, tmp_path):
         res = max_violation_settings(ghz_pure(2), restarts=3, tol=1e-9, seed=41)
@@ -213,6 +261,7 @@ class TestOptResultSerialization:
         assert len(obj["traces"]) == 3
         assert obj["direction"] == "max"
         assert "settings" in obj
+        assert tuple(obj["statuses"]) == res.statuses == ("converged",) * 3
 
     def test_sym_state_serialized(self):
         res = search_mm_partial(3, restarts=3, seed=42)

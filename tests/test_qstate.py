@@ -51,6 +51,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PureState(1, [0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-300])
+    def test_norm_over_and_underflow_rescaled(self, scale):
+        # the plain square sum is inf (1e308) or 0 (1e-300)
+        assert np.max(np.abs(PureState(1, [scale, scale]).amp - SQ2)) < 1e-15
+        assert np.max(np.abs(PureState(1, [scale, 0.0]).amp - [1.0, 0.0])) < 1e-15
+
     def test_qubit_count_limits(self):
         with pytest.raises(ValueError):
             PureState(0, [1.0])

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkit import symstate
 from bellkit.symstate import (RationalComplex, SymState,
@@ -93,6 +95,16 @@ class TestEmbed:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             embed(SymState(2, [0, 0, 0]))
+
+    @given(st.integers(1, 8), st.integers(0, 2**16),
+           st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)]),
+           st.sampled_from([0.5, 1, "1/2"]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_coefficient_rejected(self, n, pos, bad, other):
+        coeff = [other] * (n + 1)
+        coeff[pos % (n + 1)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymState(n, coeff)
 
 
 class TestSplit:
