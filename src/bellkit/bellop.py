@@ -191,17 +191,6 @@ class CorrelatorPoly:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def evaluate(self, asg: Assignment) -> Fraction:
-        if asg.n != self.n:
-            raise ValueError("assignment size mismatch")
-        total = Fraction(0)
-        for choice, coeff in self.coeffs.items():
-            prod = 1
-            for j, c in enumerate(choice):
-                prod *= asg.values[j][c]
-            total += coeff * prod
-        return total
-
 
 @lru_cache(maxsize=None)
 def expand_correlators(n: int) -> CorrelatorPoly:
@@ -274,21 +263,6 @@ def bell_operator(st: Settings) -> np.ndarray:
     if st.n > MAX_OPERATOR_QUBITS:
         raise ValueError(f"dense operator supports n <= {MAX_OPERATOR_QUBITS}")
     return _bell_operator_raw(st.vectors)
-
-
-def operator_from_correlators(st: Settings) -> np.ndarray:
-    """B_n assembled term by term from the multilinear expansion:
-    sum_c coeff(c) (x)_j (chosen direction).sigma.  Independent of the
-    recursion in bell_operator, so the two serve as cross-checks."""
-    poly = expand_correlators(st.n)
-    dim = 2**st.n
-    total = np.zeros((dim, dim), dtype=complex)
-    for choice, coeff in poly.items():
-        term = np.eye(1, dtype=complex)
-        for j, c in enumerate(choice):
-            term = np.kron(term, pauli_dot(st.vectors[j, c]))
-        total += float(coeff) * term
-    return total
 
 
 def bell_expectation(state: State, st: Settings) -> float:

@@ -81,33 +81,6 @@ def depolarize(rho: DensityMatrix, t: float) -> DensityMatrix:
     return DensityMatrix(n, arr.reshape(rho.dim, rho.dim))
 
 
-def depolarize_integrate(rho: DensityMatrix, t: float, steps: int = 400) -> DensityMatrix:
-    """Fixed-step RK4 integration of rho' = sum_j (sigma_j rho sigma_j - 3 rho).
-
-    Retained purely as a cross-check for the exact channel above.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    n = rho.n
-
-    def rhs(arr: np.ndarray) -> np.ndarray:
-        out = -3.0 * n * arr
-        for q in range(n):
-            for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-                out = out + _conjugate_1q(arr, sigma, q, n)
-        return out
-
-    arr = rho.mat.reshape([2] * (2 * n)).astype(complex)
-    h = t / steps
-    for _ in range(steps):
-        k1 = rhs(arr)
-        k2 = rhs(arr + 0.5 * h * k1)
-        k3 = rhs(arr + 0.5 * h * k2)
-        k4 = rhs(arr + h * k3)
-        arr = arr + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return DensityMatrix(n, arr.reshape(rho.dim, rho.dim))
-
-
 @dataclass(frozen=True)
 class DistributeReport:
     """Outcome of the seeded x-basis distribution trials on a GHZ state."""

@@ -136,7 +136,9 @@ class PureState:
                 raise ValueError("cannot normalize the zero vector")
             amp = amp / scale
             norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_ATOL:
+        # Born probabilities sum to norm**2, so a norm inside NORM_ATOL could
+        # still break PROBABILITY_ATOL; keep the bits only well inside it
+        if abs(norm - 1.0) > PROBABILITY_ATOL / 4:
             amp = amp / norm
         amp.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -175,10 +177,14 @@ class DensityMatrix:
             raise ValueError(f"expected {d}x{d} matrix for n={n}, got {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > TRACE_ATOL:
+        trace = np.trace(mat).real
+        if abs(trace - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace must be 1, got {np.trace(mat)!r}")
         if np.linalg.eigvalsh(mat).min() < EIGENVALUE_FLOOR:
             raise ValueError("density matrix must be positive semidefinite")
+        # Born probabilities sum to the trace: rescale unless well inside PROBABILITY_ATOL
+        if abs(trace - 1.0) > PROBABILITY_ATOL / 2:
+            mat = mat / trace
         mat.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mat", mat)
@@ -213,13 +219,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(a.n + b.n, np.kron(a.amp, b.amp))
 
 
-def _apply_1q(arr: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one tensor axis of arr."""
-    out = np.tensordot(m, arr, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
 def _check_qubit(qubit: int, n: int) -> int:
+    if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)):
+        raise ValueError(f"qubit index must be an integer, got {qubit!r}")
     q = int(qubit)
     if not 1 <= q <= n:
         raise ValueError(f"qubit index must be in [1, {n}], got {q}")
@@ -232,9 +234,8 @@ def pauli_expect(state: State, qubit: int, d: Sequence[float]) -> float:
     q = _check_qubit(qubit, state.n)
     op = pauli_dot(v)
     if isinstance(state, PureState):
-        arr = state.amp.reshape([2] * state.n)
-        applied = _apply_1q(arr, op, q - 1)
-        return float(np.vdot(state.amp, applied.reshape(-1)).real)
+        a = np.moveaxis(state.amp.reshape([2] * state.n), q - 1, 0).reshape(2, -1)
+        return float(np.vdot(a, op @ a).real)
     if state.n == 1:
         return float(np.trace(state.mat @ op).real)
     reduced = partial_trace(state, {q})
@@ -291,40 +292,13 @@ def spectrum(h: Union[np.ndarray, DensityMatrix]) -> Spectrum:
     return Spectrum(np.sort(w)[::-1])
 
 
-def power_max_eigenvalue(h: np.ndarray, iters: int = 5000, tol: float = 1e-13,
-                         seed: int = 7) -> float:
-    """Largest eigenvalue via shifted power iteration (cross-check for spectrum).
-
-    The Gershgorin shift makes h + shift*I positive so the dominant
-    eigenvalue of the shifted matrix is lambda_max + shift.
-    """
-    a = np.asarray(h, dtype=complex)
-    shift = float(np.max(np.sum(np.abs(a), axis=1)))
-    m = a + shift * np.eye(a.shape[0])
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=a.shape[0]) + 1j * rng.normal(size=a.shape[0])
-    v /= np.linalg.norm(v)
-    last = None
-    for _ in range(iters):
-        w = m @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return -shift
-        v = w / nrm
-        rq = float(np.vdot(v, m @ v).real)
-        if last is not None and abs(rq - last) < tol * max(1.0, abs(rq)):
-            last = rq
-            break
-        last = rq
-    return last - shift
-
-
 def _eigenbasis_rows(d: np.ndarray) -> np.ndarray:
     """Rows are <v+| and <v-| for d.sigma, so M @ psi rotates a qubit into the
     measurement eigenbasis (row 0 <-> outcome +1)."""
-    dz = min(1.0, max(-1.0, float(d[2])))
-    theta = np.arccos(dz)
-    st = np.sin(theta)
+    # not arccos(d_z): it loses digits near the poles, where |phase| would
+    # drift from 1 by eps/theta^2 and the rows would stop being unitary
+    st = float(np.hypot(d[0], d[1]))
+    theta = np.arctan2(st, d[2])
     phase = 1.0 + 0j if st < 1e-15 else (d[0] + 1j * d[1]) / st
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     v_plus = np.array([c, phase * s], dtype=complex)
@@ -346,41 +320,51 @@ class MeasureResult:
 def measure_sample(state: PureState, bases, subset: Iterable[int], seed: int) -> MeasureResult:
     """Sample a product projective measurement on ``subset`` (Born rule).
 
-    ``bases`` gives one direction per qubit (length n); entries for
-    unmeasured qubits are ignored.  At least one qubit must remain
-    unmeasured, since the post-state is returned with the measured qubits
-    tensored out.  Deterministic given ``seed``.
+    ``bases`` gives one unit direction per qubit (length n, every entry
+    validated); only the entries of the measured qubits are used.  At least
+    one qubit must remain unmeasured, since the post-state is returned with
+    the measured qubits tensored out.  Deterministic given ``seed``.
+
+    The measured qubits are rotated into their eigenbases with one
+    contraction each; column j of the result is the unnormalized branch of
+    joint outcome j, so the marginal is the column sums of |.|^2 and the
+    post-state is the one sampled column.
     """
+    if not isinstance(state, PureState):
+        raise TypeError(f"measure_sample needs a PureState, got {type(state).__name__}")
     n = state.n
     dirs = as_bases(bases, n)
-    qubits = sorted({_check_qubit(q, n) for q in subset})
-    if not qubits:
+    meas = sorted({_check_qubit(q, n) - 1 for q in subset})
+    if not meas:
         raise ValueError("subset must be nonempty")
-    if len(qubits) == n:
+    if len(meas) == n:
         raise ValueError("at least one qubit must remain unmeasured")
-    arr = state.amp.reshape([2] * n)
-    for q in qubits:
-        arr = _apply_1q(arr, _eigenbasis_rows(dirs[q - 1]), q - 1)
-    meas_axes = [q - 1 for q in qubits]
-    rest_axes = tuple(i for i in range(n) if i not in set(meas_axes))
-    probs = np.abs(arr) ** 2
-    if rest_axes:
-        probs = probs.sum(axis=rest_axes)
-    probs = probs.reshape(-1)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    idx = int(rng.choice(probs.size, p=probs))
-    k = len(qubits)
-    bits = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
-    slicer: list = [slice(None)] * n
-    for axis, bit in zip(meas_axes, bits):
-        slicer[axis] = bit
-    branch = arr[tuple(slicer)].reshape(-1)
+    k = len(meas)
+    rest = [i for i in range(n) if i not in meas]
+    amp = state.amp.reshape([2] * n).transpose(meas + rest).reshape(-1)
+    arr = _contract_leading(amp, [_eigenbasis_rows(dirs[q]) for q in meas])
+    arr = arr.reshape(2 ** (n - k), 2**k)
+    probs = _born_distribution((np.abs(arr) ** 2).sum(axis=0))
+    # the inverse-CDF draw of Generator.choice(p=probs), without re-validating probs
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    idx = int(cdf.searchsorted(np.random.default_rng(seed).random(), side="right"))
+    branch = arr[:, idx]
     if np.linalg.norm(branch) < 1e-150:
         raise RuntimeError("sampled a zero-probability branch (internal error)")
-    outcomes = tuple(1 if b == 0 else -1 for b in bits)
+    outcomes = tuple(-1 if (idx >> (k - 1 - i)) & 1 else 1 for i in range(k))
     return MeasureResult(outcomes, PureState(n - k, branch), float(probs[idx]))
+
+
+def _contract_leading(amp: np.ndarray, rows) -> np.ndarray:
+    """Contract the leading qubit axes of flat amplitudes with bra rows, one
+    qubit per ``rows`` entry (shape (K_j, 2)).  Each step rotates the new K_j
+    outcome index to the back, so the result, flattened, is indexed by the
+    untouched qubits first and then the outcomes in ``rows`` order."""
+    arr = amp
+    for r in rows:
+        arr = (r @ arr.reshape(2, -1)).T
+    return arr
 
 
 def _contract_pairs(mat: np.ndarray, weights) -> np.ndarray:
@@ -405,11 +389,7 @@ def _outcome_table(state: State, rows) -> np.ndarray:
     |r_1k_1> (x) ... (x) |r_nk_n>.  One contraction per qubit.
     """
     if isinstance(state, PureState):
-        arr = state.amp
-        for r in rows:
-            # contract the leading amplitude axis and rotate the K outcomes to the back
-            arr = (r @ arr.reshape(2, -1)).T
-        table = np.abs(arr) ** 2
+        table = np.abs(_contract_leading(state.amp, rows)) ** 2
     else:
         # <r|rho|r> weighs the (i, j) entry of a qubit's pair by r[i] conj(r[j])
         outer = [(r[:, :, None] * r[:, None, :].conj()).reshape(len(r), 4) for r in rows]

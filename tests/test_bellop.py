@@ -10,11 +10,38 @@ from bellkit import bellop
 from bellkit.bellop import (Assignment, Settings, bell_expectation,
                             bell_operator, bound_check, expand_correlators,
                             f_classical, f_prime, fnm_identity_check,
-                            ghz_optimal_settings, lhv_max,
-                            operator_from_correlators)
+                            ghz_optimal_settings, lhv_max)
 from bellkit.qstate import PureState, pauli_dot
 
 from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
+
+
+def evaluate_poly(poly, asg: Assignment) -> Fraction:
+    """Reference: the multilinear expansion summed term by term on one
+    assignment."""
+    assert asg.n == poly.n
+    total = Fraction(0)
+    for choice, coeff in poly.items():
+        prod = 1
+        for j, c in enumerate(choice):
+            prod *= asg.values[j][c]
+        total += coeff * prod
+    return total
+
+
+def operator_from_correlators(st_: Settings) -> np.ndarray:
+    """Reference: B_n assembled term by term from the multilinear expansion,
+    sum_c coeff(c) (x)_j (chosen direction).sigma, independent of the
+    recursion in bell_operator."""
+    poly = expand_correlators(st_.n)
+    dim = 2**st_.n
+    total = np.zeros((dim, dim), dtype=complex)
+    for choice, coeff in poly.items():
+        term = np.eye(1, dtype=complex)
+        for j, c in enumerate(choice):
+            term = np.kron(term, pauli_dot(st_.vectors[j, c]))
+        total += float(coeff) * term
+    return total
 
 
 def brute_force_lhv_max(n: int) -> Fraction:
@@ -127,7 +154,7 @@ class TestExpandCorrelators:
         rng = np.random.default_rng(5 + n)
         for _ in range(100):
             asg = Assignment.random(n, rng)
-            assert poly.evaluate(asg) == f_classical(asg)
+            assert evaluate_poly(poly, asg) == f_classical(asg)
 
 
 class TestBellOperator:

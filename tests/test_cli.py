@@ -54,6 +54,62 @@ WERNER5_ESTIMATE_STDOUT = """\
 """
 
 
+# stdout of `criteria --which distribute`, recorded before measure_sample
+# read its marginal and branch from one contraction of the measured qubits
+DISTRIBUTE_STDOUT = {
+    ("6", "3", "200", "101"): """\
+{
+  "config": {
+    "command": "criteria",
+    "format": "json",
+    "k": 3,
+    "n": 6,
+    "restarts": 20,
+    "seed": 101,
+    "shots": 100000,
+    "tol": 1e-09,
+    "trials": 200,
+    "which": "distribute"
+  },
+  "report": {
+    "k": 3,
+    "n": 6,
+    "passed": true,
+    "trials": 200,
+    "worst_fidelity_error": 2.220446049250313e-16,
+    "x_passes": 200,
+    "z_passes": 200
+  }
+}
+""",
+    ("8", "5", "300", "4"): """\
+{
+  "config": {
+    "command": "criteria",
+    "format": "json",
+    "k": 5,
+    "n": 8,
+    "restarts": 20,
+    "seed": 4,
+    "shots": 100000,
+    "tol": 1e-09,
+    "trials": 300,
+    "which": "distribute"
+  },
+  "report": {
+    "k": 5,
+    "n": 8,
+    "passed": true,
+    "trials": 300,
+    "worst_fidelity_error": 2.220446049250313e-16,
+    "x_passes": 300,
+    "z_passes": 300
+  }
+}
+""",
+}
+
+
 def run_estimate(capsys, tmp_path, monkeypatch, state, n):
     """`certify --estimate` at seed 11, 2000 shots, GHZ-optimal settings,
     with relative file names so the echoed configuration is fixed."""
@@ -206,6 +262,13 @@ class TestCriteria:
         assert code == 0
         obj = json.loads(out)
         assert obj["report"]["passed"] is True
+
+    @pytest.mark.parametrize("n,k,trials,seed", list(DISTRIBUTE_STDOUT))
+    def test_distribute_replays_byte_for_byte(self, capsys, n, k, trials, seed):
+        code, out, _ = run_cli(capsys, "criteria", "--which", "distribute", "--n", n,
+                               "--k", k, "--trials", trials, "--seed", seed)
+        assert code == 0
+        assert out == DISTRIBUTE_STDOUT[(n, k, trials, seed)]
 
     def test_distribute_negative_trials_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "criteria", "--which", "distribute",

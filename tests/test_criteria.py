@@ -2,14 +2,37 @@ import numpy as np
 import pytest
 
 from bellkit import criteria, symstate
-from bellkit.criteria import (depolarize, depolarize_integrate,
-                              distribute_check, fragility, mm_example_states,
-                              mm_partial_residual, mutual_information,
-                              symmetric_reduced_matrix)
-from bellkit.qstate import (DensityMatrix, PureState, partial_trace,
-                            pauli_expect, spectrum, tensor, z_bases)
+from bellkit.criteria import (depolarize, distribute_check, fragility,
+                              mm_example_states, mm_partial_residual,
+                              mutual_information, symmetric_reduced_matrix)
+from bellkit.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PureState,
+                            partial_trace, pauli_expect, spectrum, tensor, z_bases)
 
 from conftest import ghz_pure, random_density, random_pure
+
+
+def depolarize_integrate(rho: DensityMatrix, t: float, steps: int = 400) -> DensityMatrix:
+    """Reference: fixed-step RK4 integration of
+    rho' = sum_j (sigma_j rho sigma_j - 3 rho), a cross-check for the exact
+    channel."""
+    n = rho.n
+
+    def rhs(arr: np.ndarray) -> np.ndarray:
+        out = -3.0 * n * arr
+        for q in range(n):
+            for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
+                out = out + criteria._conjugate_1q(arr, sigma, q, n)
+        return out
+
+    arr = rho.mat.reshape([2] * (2 * n)).astype(complex)
+    h = t / steps
+    for _ in range(steps):
+        k1 = rhs(arr)
+        k2 = rhs(arr + 0.5 * h * k1)
+        k3 = rhs(arr + 0.5 * h * k2)
+        k4 = rhs(arr + h * k3)
+        arr = arr + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return DensityMatrix(n, arr.reshape(rho.dim, rho.dim))
 
 
 class TestFragility:

@@ -1,15 +1,17 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellkit import qstate
+from bellkit.bellop import Settings
+from bellkit.certify import MIN_SHOTS, estimate_E
 from bellkit.qstate import (DensityMatrix, PureState, measure_sample,
                             outcome_distribution, partial_trace, pauli_expect,
-                            power_max_eigenvalue, spectrum, tensor, x_bases,
-                            z_bases)
+                            spectrum, tensor, x_bases, z_bases)
 
 from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
 
@@ -20,12 +22,14 @@ non_finite = st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan),
                               complex(np.inf, 1), complex(1, -np.inf)])
 
 
+def apply_1q(arr, m, axis):
+    """Reference: apply a 2x2 matrix to one tensor axis of arr."""
+    return np.moveaxis(np.tensordot(m, arr, axes=([1], [axis])), 0, axis)
+
+
 def rotated_distribution(state, dirs):
     """Reference: rotate every qubit into its measurement eigenbasis with one
     2x2 matrix per tensor axis (both sides of rho) and read the diagonal."""
-    def apply_1q(arr, m, axis):
-        return np.moveaxis(np.tensordot(m, arr, axes=([1], [axis])), 0, axis)
-
     n = state.n
     if isinstance(state, PureState):
         arr = state.amp.reshape([2] * n)
@@ -39,6 +43,57 @@ def rotated_distribution(state, dirs):
             arr = apply_1q(apply_1q(arr, m, q), m.conj(), n + q)
         probs = np.diag(arr.reshape(2**n, 2**n)).real
     return probs / probs.sum()
+
+
+def power_max_eigenvalue(h: np.ndarray, iters: int = 5000, tol: float = 1e-13,
+                         seed: int = 7) -> float:
+    """Reference: largest eigenvalue via shifted power iteration.  The
+    Gershgorin shift makes h + shift*I positive, so the dominant eigenvalue
+    of the shifted matrix is lambda_max + shift."""
+    a = np.asarray(h, dtype=complex)
+    shift = float(np.max(np.sum(np.abs(a), axis=1)))
+    m = a + shift * np.eye(a.shape[0])
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=a.shape[0]) + 1j * rng.normal(size=a.shape[0])
+    v /= np.linalg.norm(v)
+    last = None
+    for _ in range(iters):
+        w = m @ v
+        nrm = np.linalg.norm(w)
+        if nrm == 0:
+            return -shift
+        v = w / nrm
+        rq = float(np.vdot(v, m @ v).real)
+        if last is not None and abs(rq - last) < tol * max(1.0, abs(rq)):
+            last = rq
+            break
+        last = rq
+    return last - shift
+
+
+def walk_sample(state, bases, subset, seed):
+    """Reference sampler: rotate each measured axis of the full amplitude
+    tensor in place, sum |.|^2 over the other axes for the marginal, draw
+    with Generator.choice and slice the sampled branch out of the tensor."""
+    n = state.n
+    dirs = qstate.as_bases(bases, n)
+    meas = sorted(q - 1 for q in subset)
+    arr = state.amp.reshape([2] * n)
+    for q in meas:
+        arr = apply_1q(arr, qstate._eigenbasis_rows(dirs[q]), q)
+    rest = tuple(i for i in range(n) if i not in meas)
+    probs = (np.abs(arr) ** 2).sum(axis=rest).reshape(-1)
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    idx = int(np.random.default_rng(seed).choice(probs.size, p=probs))
+    k = len(meas)
+    bits = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
+    slicer: list = [slice(None)] * n
+    for axis, bit in zip(meas, bits):
+        slicer[axis] = bit
+    branch = arr[tuple(slicer)].reshape(-1)
+    outcomes = tuple(1 if b == 0 else -1 for b in bits)
+    return outcomes, PureState(n - k, branch), float(probs[idx])
 
 
 class TestConstruction:
@@ -92,6 +147,53 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityMatrix(1, np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_unit_norm_amplitudes_keep_their_bits(self, n, rng):
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amp = v / np.linalg.norm(v)
+        assert np.array_equal(PureState(n, amp).amp, amp)
+
+
+class TestBornSumWindow:
+    """States inside the constructors' norm and trace windows, measured
+    along directions inside the unit-norm window, must pass the Born sum
+    check of every distribution read from them."""
+
+    @given(st.integers(2, 5), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+    @example(2, 0.9, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_pure_state_in_norm_window(self, n, frac, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi = PureState(n, v / np.linalg.norm(v) * (1.0 + frac * qstate.NORM_ATOL))
+        dirs = random_unit_vectors(n, rng)[:, 0]
+        assert outcome_distribution(psi, dirs).shape == (2**n,)
+        assert np.isfinite(estimate_E(psi, Settings(random_unit_vectors(n, rng)),
+                                      MIN_SHOTS, seed).value)
+        assert 0.0 < measure_sample(psi, dirs, [1], seed).probability <= 1.0
+
+    @given(st.integers(2, 5), st.floats(-0.99, 0.99), st.integers(0, 2**32 - 1))
+    @example(3, 0.99, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_directions_in_unit_window(self, n, frac, seed):
+        rng = np.random.default_rng(seed)
+        psi = random_pure(n, rng)
+        dirs = random_unit_vectors(n, rng) * (1.0 + frac * qstate.UNIT_ATOL)
+        assert outcome_distribution(psi, dirs[:, 0]).shape == (2**n,)
+        assert np.isfinite(estimate_E(psi, Settings(dirs), MIN_SHOTS, seed).value)
+        assert 0.0 < measure_sample(psi, dirs[:, 0], [1], seed).probability <= 1.0
+
+    @given(st.integers(1, 4), st.floats(-0.999, 0.999), st.integers(0, 2**32 - 1))
+    @example(4, 0.999, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_density_matrix_in_trace_window(self, n, frac, seed):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(n, random_density(n, rng).mat * (1.0 + frac * qstate.TRACE_ATOL))
+        dirs = random_unit_vectors(n, rng)[:, 0]
+        assert outcome_distribution(rho, dirs).shape == (2**n,)
+        assert np.isfinite(estimate_E(rho, Settings(random_unit_vectors(n, rng)),
+                                      MIN_SHOTS, seed).value)
+
 
 class TestTensor:
     def test_basis_product(self):
@@ -135,6 +237,14 @@ class TestPauliExpect:
     def test_requires_unit_direction(self):
         with pytest.raises(ValueError):
             pauli_expect(PureState.basis(1, 0), 1, [0, 0, 2])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_axis_reference(self, n, rng):
+        psi = random_pure(n, rng)
+        arr = psi.amp.reshape([2] * n)
+        for q, d in enumerate(random_unit_vectors(n, rng)[:, 0], start=1):
+            ref = np.vdot(psi.amp, apply_1q(arr, qstate.pauli_dot(d), q - 1).reshape(-1)).real
+            assert abs(pauli_expect(psi, q, d) - ref) <= 1e-15
 
     def test_matches_partial_trace(self, rng):
         psi = random_pure(4, rng)
@@ -187,6 +297,28 @@ class TestPartialTrace:
         p1 = np.concatenate([s1, np.zeros(size - len(s1))])
         p2 = np.concatenate([s2, np.zeros(size - len(s2))])
         assert np.allclose(p1, p2, atol=1e-10)
+
+
+class TestQubitIndex:
+    @pytest.mark.parametrize("bad", [1.9, 2.5, 2.0, np.float64(1.0), True, np.True_, "1"])
+    def test_non_integer_index_rejected(self, bad):
+        psi = ghz_pure(3)
+        with pytest.raises(ValueError, match="integer"):
+            measure_sample(psi, z_bases(3), [bad], seed=0)
+        with pytest.raises(ValueError, match="integer"):
+            partial_trace(psi, [bad])
+        with pytest.raises(ValueError, match="integer"):
+            pauli_expect(psi, bad, [0, 0, 1])
+
+    @pytest.mark.parametrize("q", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_index_accepted(self, q, rng):
+        psi = random_pure(3, rng)
+        assert np.array_equal(partial_trace(psi, [q]).mat, partial_trace(psi, [2]).mat)
+        assert pauli_expect(psi, q, [1, 0, 0]) == pauli_expect(psi, 2, [1, 0, 0])
+        a = measure_sample(psi, x_bases(3), [q], seed=5)
+        b = measure_sample(psi, x_bases(3), [2], seed=5)
+        assert a.outcomes == b.outcomes
+        assert np.array_equal(a.post.amp, b.post.amp)
 
 
 class TestSpectrum:
@@ -259,6 +391,47 @@ class TestMeasureSample:
         with pytest.raises(ValueError):
             measure_sample(psi, z_bases(2), {1, 2}, seed=0)
 
+    def test_density_matrix_rejected(self):
+        with pytest.raises(TypeError, match="PureState"):
+            measure_sample(ghz_pure(2).to_density(), z_bases(2), {1}, seed=0)
+
+    def test_unmeasured_bases_still_validated(self):
+        bases = z_bases(3)
+        bases[2] = [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="unit"):
+            measure_sample(ghz_pure(3), bases, {1}, seed=0)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_walk_reference(self, n, rng):
+        ghz = ghz_pure(n)
+        for kind, basis in itertools.product(("ghz", "random"), ("x", "z", "random")):
+            for _ in range(4):
+                psi = ghz if kind == "ghz" else random_pure(n, rng)
+                bases = {"x": x_bases(n), "z": z_bases(n),
+                         "random": random_unit_vectors(n, rng)[:, 0]}[basis]
+                k = int(rng.integers(1, n))
+                subset = [int(q) + 1 for q in rng.choice(n, size=k, replace=False)]
+                seed = int(rng.integers(2**63))
+                rec = measure_sample(psi, bases, subset, seed)
+                outcomes, post, probability = walk_sample(psi, bases, subset, seed)
+                assert rec.outcomes == outcomes
+                assert np.max(np.abs(rec.post.amp - post.amp)) <= 1e-15
+                assert abs(rec.probability - probability) <= 1e-15
+
+    @given(st.integers(2, 7), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(3, True, 1866)   # a direction 0.028 rad from the z-axis
+    @settings(max_examples=60, deadline=None)
+    def test_probability_is_outcome_marginal(self, n, ghz, seed):
+        rng = np.random.default_rng(seed)
+        psi = ghz_pure(n) if ghz else random_pure(n, rng)
+        dirs = random_unit_vectors(n, rng)[:, 0]
+        meas = sorted(int(q) for q in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        rec = measure_sample(psi, dirs, [q + 1 for q in meas], seed)
+        joint = outcome_distribution(psi, dirs).reshape([2] * n)
+        marginal = joint.sum(axis=tuple(i for i in range(n) if i not in meas))
+        bits = tuple(0 if o == 1 else 1 for o in rec.outcomes)
+        assert abs(rec.probability - marginal[bits]) <= 1e-14
+
 
 class TestOutcomeDistribution:
     def test_product_z(self):
@@ -293,6 +466,19 @@ class TestOutcomeDistribution:
         dirs = random_unit_vectors(n, rng)[:, 0]
         assert np.max(np.abs(outcome_distribution(state, dirs)
                              - rotated_distribution(state, dirs))) <= 1e-14
+
+    @pytest.mark.parametrize("theta", np.logspace(-9, -1, 9))
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_directions_near_the_poles(self, theta, pole, rng):
+        d = np.array([np.sin(theta) * np.cos(0.7), np.sin(theta) * np.sin(0.7),
+                      pole * np.cos(theta)])
+        rows = qstate._eigenbasis_rows(d)
+        assert np.max(np.abs(rows @ rows.conj().T - np.eye(2))) <= 1e-15
+        psi = random_pure(2, rng)
+        p_plus = outcome_distribution(psi, [d, [0, 0, 1]]).reshape(2, 2).sum(axis=1)[0]
+        assert abs(p_plus - (1 + pauli_expect(psi, 1, d)) / 2) <= 1e-15
+        rec = measure_sample(psi, [d, [0, 0, 1]], [1], seed=3)
+        assert abs(rec.probability - (p_plus if rec.outcomes == (1,) else 1 - p_plus)) <= 1e-15
 
     @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
