@@ -1,25 +1,32 @@
 """Recursive Klyshko correlation polynomial F_n, its multilinear expansion,
 and the matching Hermitian Bell operator B_n.
 
-Classical side (exact integer/rational arithmetic):
+Every form of F_n comes from one recursion, folded by _fold from the paper's
+base over per-qubit factor pairs (A_j, A_j'):
 
-    F_1(a) = 2 a
-    F_n    = (a_n + a_n') F_{n-1} / 2 + (a_n - a_n') F_{n-1}' / 2
+    (F_1, F_1') = (2 A_1, 2 A_1')
+    F_n  = F_{n-1} (x) (A_n + A_n')/2 + F_{n-1}' (x) (A_n - A_n')/2
+    F_n' = F_{n-1}' (x) (A_n + A_n')/2 - F_{n-1} (x) (A_n - A_n')/2
 
-where the primed polynomial swaps every a_j with a_j'.  Deterministic +-1
-assignments can never push F_n above 2, while the quantum operator built
-from the same recursion,
+where the primed polynomial swaps every a_j with a_j'.  The factor pairs
+choose the algebra:
 
-    B_1 = 2 a.sigma
-    B_n = B_{n-1} (x) (a_n.sigma + a_n'.sigma)/2 + B_{n-1}' (x) (a_n.sigma - a_n'.sigma)/2,
+    Pauli matrices (a_j.sigma, a_j'.sigma)   the dense operator B_n
+    the 3-vectors (a_j, a_j')                 Pauli weights W_n, <B_n> = W_n . T
+    unit pair (e_0, e_1)                      the 2^n correlator coefficients
+    +-1 pair ([1,1,-1,-1], [1,-1,1,-1])       F_n on all 4^n assignments
 
-satisfies B_n^2 <= 2^(n+1) and reaches eigenvalue 2^((n+1)/2) at the GHZ
-states, an exponentially growing gap that powers the entanglement-depth
-certificates in :mod:`bellkit.certify`.
+The coefficients are dyadic rationals and the assignment values small
+integers, so both tables are exact in float64.  Deterministic
++-1 assignments can never push F_n above 2, while B_n satisfies
+B_n^2 <= 2^(n+1) and reaches eigenvalue 2^((n+1)/2) at the GHZ states, an
+exponentially growing gap that powers the entanglement-depth certificates in
+:mod:`bellkit.certify`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,15 +37,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .qstate import (PAULI_X, PAULI_Y, PAULI_Z, PureState, State, UNIT_ATOL, _contract_pairs,
-                     pauli_dot, require_finite)
+                     require_finite)
 
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
 MAX_ENUM_QUBITS = 10       # 4^n assignment enumeration
 OPERATOR_MATCH_ATOL = 1e-10
 BOUND_SLACK = 1e-8
 EXPECTATION_IMAG_ATOL = 1e-10
-
-UNPRIMED, PRIMED = 0, 1
 
 
 @dataclass(frozen=True)
@@ -147,24 +152,32 @@ def f_prime(asg: Assignment) -> int:
     return _f_pair(asg)[1]
 
 
+def _lift_step(f, fp, a, ap):
+    """One step of the F_n recursion on factors np.kron handles (vectors or
+    matrices): (F, F') -> (F (x) p + F' (x) m, F' (x) p - F (x) m) with
+    p = (a+a')/2, m = (a-a')/2."""
+    p, m = 0.5 * (a + ap), 0.5 * (a - ap)
+    return np.kron(f, p) + np.kron(fp, m), np.kron(fp, p) - np.kron(f, m)
+
+
+def _fold(pairs) -> np.ndarray:
+    """F_n from the per-qubit factor pairs (A_j, A_j'), j = 1..n: _lift_step
+    folded over qubits 2..n from (F_1, F_1') = (2 A_1, 2 A_1')."""
+    f, fp = 2 * pairs[0][0], 2 * pairs[0][1]
+    for a, ap in pairs[1:]:
+        f, fp = _lift_step(f, fp, a, ap)
+    return f
+
+
 def lhv_max(n: int) -> int:
     """Exact max of F_n over all 4^n deterministic assignments (equals 2).
 
-    The enumeration is a vectorized integer dynamic program over the joint
-    (F_k, F_k') recursion; all values stay tiny integers so int64 arithmetic
-    is exact.
+    The fold over one qubit's four (a, a') assignments tabulates F_n on all of
+    them; every entry is a small integer, exact in float64.
     """
     if not 1 <= n <= MAX_ENUM_QUBITS:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_QUBITS}")
-    a = np.array([1, 1, -1, -1], dtype=np.int64)
-    ap = np.array([1, -1, 1, -1], dtype=np.int64)
-    f, fp = 2 * a, 2 * ap
-    plus, minus = a + ap, a - ap
-    for _ in range(n - 1):
-        new_f = (plus[None, :] * f[:, None] + minus[None, :] * fp[:, None]) // 2
-        new_fp = (plus[None, :] * fp[:, None] - minus[None, :] * f[:, None]) // 2
-        f, fp = new_f.reshape(-1), new_fp.reshape(-1)
-    return int(f.max())
+    return int(_fold([(np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))] * n).max())
 
 
 @dataclass(frozen=True)
@@ -194,39 +207,25 @@ class CorrelatorPoly:
 
 @lru_cache(maxsize=None)
 def expand_correlators(n: int) -> CorrelatorPoly:
-    """Exact expansion of F_n over choice strings (rational coefficients),
-    computed once per n."""
+    """Exact expansion of F_n over choice strings, computed once per n.
+
+    The fold over the unit pair (e_0, e_1) gives the 2^n coefficients indexed
+    by choice string (qubit 1 most significant); they are dyadic rationals,
+    exact in float64, and the nonzero ones become Fractions in sorted order.
+    """
     if not 1 <= n <= 14:
         raise ValueError("expansion supports 1 <= n <= 14")
-    coeffs: dict = {(UNPRIMED,): Fraction(2)}
-    for _ in range(n - 1):
-        swapped = {tuple(1 - c for c in choice): v for choice, v in coeffs.items()}
-        new: dict = {}
-        for choice in set(coeffs) | set(swapped):
-            alpha = coeffs.get(choice, Fraction(0))
-            alpha_p = swapped.get(choice, Fraction(0))
-            up = (alpha + alpha_p) / 2
-            pr = (alpha - alpha_p) / 2
-            if up:
-                new[choice + (UNPRIMED,)] = up
-            if pr:
-                new[choice + (PRIMED,)] = pr
-        coeffs = new
-    return CorrelatorPoly(n, coeffs)
+    table = _fold([np.eye(2)] * n).tolist()
+    return CorrelatorPoly(n, {choice: Fraction(v) for choice, v
+                              in zip(itertools.product((0, 1), repeat=n), table) if v})
 
 
-def _bell_operator_raw(vectors: np.ndarray) -> np.ndarray:
-    """Operator recursion for arbitrary (possibly non-unit) 3-vectors; the
-    construction is multilinear in each direction, which the optimizers in
-    :mod:`bellkit.optimize` exploit."""
-    b = 2.0 * pauli_dot(vectors[0, 0])
-    bp = 2.0 * pauli_dot(vectors[0, 1])
-    for a, ap in vectors[1:]:
-        m_plus = 0.5 * (pauli_dot(a) + pauli_dot(ap))
-        m_minus = 0.5 * (pauli_dot(a) - pauli_dot(ap))
-        b, bp = (np.kron(b, m_plus) + np.kron(bp, m_minus),
-                 np.kron(bp, m_plus) - np.kron(b, m_minus))
-    return b
+def _operator(vectors: np.ndarray) -> np.ndarray:
+    """Dense B_n for arbitrary (possibly non-unit) 3-vectors: the fold over
+    the pairs (a_j.sigma, a_j'.sigma).  Multilinear in each direction, which
+    the optimizers in :mod:`bellkit.optimize` exploit."""
+    v = vectors[..., None, None]
+    return _fold(v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z)
 
 
 # Row mu holds sigma_mu[j, i] at the interleaved index 2i + j, so that a row
@@ -237,32 +236,17 @@ _PAULI_TRACE_ROWS = np.array([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)])
 def _correlation_tensor(state: State) -> np.ndarray:
     """Full-weight Pauli correlations T[mu_1..mu_n] = tr(rho sigma_mu1 (x) ...
     (x) sigma_mun), flattened with qubit 1 most significant (3^n real
-    entries).  <B_n> is linear in T, so one T serves every setting."""
+    entries).  <B_n> = W_n . T with the Pauli weights W_n = _fold(vectors)
+    is linear in T, so one T serves every setting."""
     rho = np.outer(state.amp, state.amp.conj()) if isinstance(state, PureState) else state.mat
     return _contract_pairs(rho, [_PAULI_TRACE_ROWS] * state.n)
-
-
-def _lift_step(w: np.ndarray, wp: np.ndarray, a: np.ndarray, ap: np.ndarray):
-    """One step of the F_n recursion lifted to Pauli-weight vectors:
-    (W, W') -> (W (x) p + W' (x) m, W' (x) p - W (x) m), p = (a+a')/2, m = (a-a')/2."""
-    p, m = 0.5 * (a + ap), 0.5 * (a - ap)
-    return np.kron(w, p) + np.kron(wp, m), np.kron(wp, p) - np.kron(w, m)
-
-
-def _bell_weights(vectors: np.ndarray) -> np.ndarray:
-    """Weights W_n on the 3^n full-weight Pauli strings with <B_n> = W_n . T,
-    from W_0 = W_0' = 2; multilinear in each direction like the operator."""
-    w = wp = np.full(1, 2.0)
-    for a, ap in vectors:
-        w, wp = _lift_step(w, wp, a, ap)
-    return w
 
 
 def bell_operator(st: Settings) -> np.ndarray:
     """Dense Hermitian B_n for the given settings."""
     if st.n > MAX_OPERATOR_QUBITS:
         raise ValueError(f"dense operator supports n <= {MAX_OPERATOR_QUBITS}")
-    return _bell_operator_raw(st.vectors)
+    return _operator(st.vectors)
 
 
 def bell_expectation(state: State, st: Settings) -> float:

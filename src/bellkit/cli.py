@@ -80,15 +80,18 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    fmt = merged.get("format", "json")
+    if fmt not in args.formats:
+        raise ValueError(f"{args.command} writes --format {' or '.join(args.formats)}, "
+                         f"not {fmt!r}")
     return merged
 
 
 def _emit(payload: dict, out: Optional[str], fmt: str, csv_rows=None) -> None:
+    """Print (and optionally save) the payload as JSON, or csv_rows as CSV."""
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
     else:
-        if csv_rows is None:
-            raise SystemExit(EXIT_USAGE)
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     sys.stdout.write(text)
     if out:
@@ -328,22 +331,26 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, n=False):
+    def common(p, *, n=False, seed=False, csv=False):
+        """--seed only where a seed is drawn, csv only where _emit gets rows."""
         if n:
             p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int)
+        if seed:
+            p.add_argument("--seed", type=int)
         p.add_argument("--config", type=str, help="key = value config file")
         p.add_argument("--out", type=str)
-        p.add_argument("--format", choices=["json", "csv"])
+        formats = ("json", "csv") if csv else ("json",)
+        p.add_argument("--format", choices=formats)
+        p.set_defaults(formats=formats)
 
     p = sub.add_parser("bellmax", help="optimize the largest B_n eigenvalue")
-    common(p, n=True)
+    common(p, n=True, seed=True)
     p.add_argument("--restarts", type=int)
     p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_bellmax)
 
     p = sub.add_parser("certify", help="entanglement-depth certificate")
-    common(p, n=True)
+    common(p, n=True, seed=True, csv=True)
     p.add_argument("--E", type=float, dest="E")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--estimate", action="store_true")
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("criteria", help="entanglement criteria reports")
-    common(p, n=True)
+    common(p, n=True, seed=True)
     p.add_argument("--which", choices=["fragility", "mutinfo", "mm", "distribute"])
     p.add_argument("--state", type=str)
     p.add_argument("--k", type=int)
@@ -361,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_criteria)
 
     p = sub.add_parser("basis", help="symmetric basis-change tables")
-    common(p, n=True)
+    common(p, n=True, csv=True)
     p.add_argument("--to", choices=["x", "y"])
     p.add_argument("--state", type=str, help="symmetric-state JSON file (z basis)")
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("bellbasis", help="orthonormal GHZ-type basis")
-    common(p, n=True)
+    common(p, n=True, csv=True)
     p.set_defaults(func=_cmd_bellbasis)
 
     p = sub.add_parser("verify", help="run the full verification battery")

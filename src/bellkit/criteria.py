@@ -13,9 +13,9 @@ from math import comb
 import numpy as np
 
 from . import symstate
-from .qstate import (DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, PureState, State,
-                     as_bases, child_rng, fidelity, measure_sample, outcome_distribution,
-                     partial_trace, pauli_expect, spectrum, x_bases, z_bases)
+from .qstate import (DensityMatrix, PureState, State, as_bases, child_rng, fidelity,
+                     measure_sample, outcome_distribution, partial_trace, pauli_expect,
+                     spectrum, x_bases, z_bases)
 
 BLOCH_MAXIMAL_ATOL = 1e-10      # "all Bloch vectors vanish" threshold
 DISTRIBUTE_FIDELITY_ATOL = 1e-10
@@ -53,20 +53,13 @@ def fragility(state: PureState, tol: float = BLOCH_MAXIMAL_ATOL) -> FragilityRep
     return FragilityReport(n, bloch, value, maximal, tol)
 
 
-def _conjugate_1q(arr: np.ndarray, u: np.ndarray, qubit0: int, n: int) -> np.ndarray:
-    """U_q rho U_q^dagger on a [2]*2n reshaped density tensor."""
-    out = np.tensordot(u, arr, axes=([1], [qubit0]))
-    out = np.moveaxis(out, 0, qubit0)
-    out = np.tensordot(u.conj(), out, axes=([1], [n + qubit0]))
-    return np.moveaxis(out, 0, n + qubit0)
-
-
 def depolarize(rho: DensityMatrix, t: float) -> DensityMatrix:
     """Exact state at time t under independent white noise on every qubit.
 
     The generator is a sum of single-qubit depolarizers, so the solution
-    factorizes: each qubit is mixed toward I/2 with weight 1 - exp(-4t).
-    Equivalently every weight-w Pauli-string component decays by exp(-4wt).
+    factorizes: per qubit q, rho -> p rho + (1 - p) tr_q(rho) (x) I/2 with
+    p = exp(-4t).  Equivalently every weight-w Pauli-string component decays
+    by exp(-4wt).
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -74,10 +67,9 @@ def depolarize(rho: DensityMatrix, t: float) -> DensityMatrix:
     p = float(np.exp(-NOISE_RATE * t))
     arr = rho.mat.reshape([2] * (2 * n)).astype(complex)
     for q in range(n):
-        twirl = arr.copy()
-        for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-            twirl = twirl + _conjugate_1q(arr, sigma, q, n)
-        arr = p * arr + (1.0 - p) * 0.25 * twirl
+        eye = np.eye(2).reshape([2 if i in (q, n + q) else 1 for i in range(2 * n)])
+        mixed = np.expand_dims(np.trace(arr, axis1=q, axis2=n + q), (q, n + q)) * eye
+        arr = p * arr + (0.5 * (1.0 - p)) * mixed
     return DensityMatrix(n, arr.reshape(rho.dim, rho.dim))
 
 
@@ -204,22 +196,6 @@ def schmidt_map(n: int, m: int) -> np.ndarray:
             jac[k, l, k + l] = np.sqrt(comb(m, k) * comb(n - m, l))
     jac.setflags(write=False)
     return jac
-
-
-def symmetric_reduced_matrix(state: symstate.SymState, m: int) -> np.ndarray:
-    """(m+1)x(m+1) block of the m-qubit partial state in the orthonormal
-    symmetric basis; its eigenvalues are the nonzero partial spectrum.
-
-    Taken as M M^H / |M|_F^2 (see schmidt_map), independent of the dense
-    embed/partial-trace route.
-    """
-    n = state.n
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}")
-    if state.basis_label != "z":
-        raise ValueError("symmetric reduction expects a z-basis state")
-    mat = schmidt_map(n, m) @ state.as_complex()
-    return mat @ mat.conj().T / np.vdot(mat, mat).real
 
 
 def mm_example_states() -> dict[str, symstate.SymState]:

@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria, symstate
-from .bellop import (Settings, _bell_operator_raw, _bell_weights, _correlation_tensor,
-                     _lift_step, bell_expectation)
+from .bellop import Settings, _correlation_tensor, _fold, _lift_step, _operator, bell_expectation
 from .qstate import PureState, State, child_rng
 
 BACKTRACK_FACTOR = 0.5    # line-search shrink factor
@@ -107,7 +106,7 @@ def _coordinate_sweep(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
         p, m = 0.5 * (a + ap), 0.5 * (a - ap)
         r0, r1 = rights[-1]
         rights.append((np.kron(p, r0) - np.kron(m, r1), np.kron(m, r0) + np.kron(p, r1)))
-    w = wp = np.full(1, 2.0)
+    w = wp = np.full(1, 2.0)    # weights of the empty prefix; lifting a_1 gives 2 a_1
     for j in range(n):
         right = np.stack(rights[n - 1 - j])
         left = np.stack([w, wp]) @ corr.reshape(w.size, -1)
@@ -179,7 +178,7 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
 
     def ascent(rng):
         vectors = _random_unit_vectors(rng, state.n)
-        value = float(_bell_weights(vectors) @ corr)
+        value = float(_fold(vectors) @ corr)
         while True:
             yield value, None, vectors
             vectors, value = _coordinate_sweep(corr, vectors)
@@ -201,13 +200,13 @@ def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
     def ascent(rng):
         vectors = _random_unit_vectors(rng, n)
         while True:
-            w, v = np.linalg.eigh(_bell_operator_raw(vectors))
+            w, v = np.linalg.eigh(_operator(vectors))
             yield float(w[-1]), None, vectors
             eigvec = PureState(n, v[:, -1])
             vectors, _ = _coordinate_sweep(_correlation_tensor(eigvec), vectors)
 
     def finish(vectors):
-        return Settings(vectors), None, float(np.linalg.eigvalsh(_bell_operator_raw(vectors))[-1])
+        return Settings(vectors), None, float(np.linalg.eigvalsh(_operator(vectors))[-1])
 
     return _multistart(ascent, finish, restarts, seed, tol)
 
@@ -255,9 +254,9 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
         while True:
             state = PureState(n, reduce(np.kron, singles, block))
             corr = _correlation_tensor(state)
-            yield float(_bell_weights(vectors) @ corr), None, (vectors, state)
+            yield float(_fold(vectors) @ corr), None, (vectors, state)
             vectors, _ = _coordinate_sweep(corr, vectors)
-            b = _bell_operator_raw(vectors)
+            b = _operator(vectors)
             fixed = [((q,), s) for q, s in zip(single_qubits, singles)]
             block = np.linalg.eigh(_effective_operator(b, n, fixed, block_qubits))[1][:, -1]
             for i, q in enumerate(single_qubits):

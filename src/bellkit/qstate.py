@@ -106,6 +106,8 @@ def y_bases(n: int) -> np.ndarray:
 
 
 def _check_n(n: int) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
     n = int(n)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
@@ -444,7 +446,7 @@ def state_to_json(state: State) -> dict:
 
 
 def state_from_json(obj: dict) -> State:
-    n = int(obj["n"])
+    n = obj["n"]
     if "amp" in obj:
         amp = np.array([complex(re, im) for re, im in obj["amp"]])
         return PureState(n, amp)

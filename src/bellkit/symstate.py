@@ -37,7 +37,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, PureState, hamming_weights, require_finite
+from .qstate import PureState, _check_n, hamming_weights, require_finite
 
 NORM_MATCH_ATOL = 1e-12  # float embedding norm vs exact rational norm
 
@@ -164,9 +164,7 @@ class SymState:
     basis_label: str = "z"
 
     def __post_init__(self):
-        n = int(self.n)
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        n = _check_n(self.n)
         if self.basis_label not in ("z", "x", "y"):
             raise ValueError(f"unknown basis label {self.basis_label!r}")
         coeff = _coerce_coeffs(self.coeff)
@@ -218,30 +216,22 @@ def _amp_by_weight(state: SymState) -> list:
     """Amplitude of any weight-w computational string, for w = 0..n.
 
     For x and y labels, the single-qubit expansions above give the amplitude
-    of |l,n>_x at a weight-w string as sum_s (-1)^s C(w,s) C(n-w, l-s), and
-    of |l,n>_y as sum_s i^(l+w-2s) C(w,s) C(n-w, l-s).
+    of |l,n>_x at a weight-w string as the Krawtchouk entry beta[l][w] of
+    z_to_x_matrix, and of |l,n>_y as i^(l+w) beta[l][w].
     """
-    n = state.n
     if state.basis_label == "z":
         return list(state.coeff)
+    beta = z_to_x_matrix(state.n)
     exact = state.exact
     out = []
-    for w in range(n + 1):
+    for w in range(state.n + 1):
         total: Coefficient = RC_ZERO if exact else 0j
         for ell, c in enumerate(state.coeff):
-            if (c.is_zero if exact else c == 0):
-                continue
-            term: Coefficient = RC_ZERO if exact else 0j
-            for s in range(max(0, ell - (n - w)), min(w, ell) + 1):
-                mult = comb(w, s) * comb(n - w, ell - s)
-                if mult == 0:
-                    continue
-                if state.basis_label == "x":
-                    factor = RationalComplex(Fraction((-1) ** s * mult))
-                else:
-                    factor = i_power(ell + w - 2 * s).scale(Fraction(mult))
-                term = term + (factor if exact else complex(factor))
-            total = total + c * term
+            if state.basis_label == "x":
+                factor = RationalComplex(beta[ell][w])
+            else:
+                factor = i_power(ell + w).scale(beta[ell][w])
+            total = total + c * (factor if exact else complex(factor))
         out.append(total)
     return out
 
@@ -393,7 +383,7 @@ def sym_from_json(obj: dict) -> SymState:
             coeff.append(complex(entry[0], entry[1]))
         else:
             coeff.append(entry)
-    return SymState(int(obj["n"]), coeff, basis_label=obj.get("basis", "z"))
+    return SymState(obj["n"], coeff, basis_label=obj.get("basis", "z"))
 
 
 def save_sym(path, state: SymState) -> None:

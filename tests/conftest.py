@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bellkit.qstate import DensityMatrix, PureState
+from bellkit.qstate import DensityMatrix, PureState, pauli_dot
 
 
 def ghz_pure(n: int, sign: int = 1) -> PureState:
@@ -35,6 +35,20 @@ def random_density(n: int, rng: np.random.Generator, rank: int = 3) -> DensityMa
 def random_unit_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=(n, 2, 3))
     return v / np.linalg.norm(v, axis=2, keepdims=True)
+
+
+def kron_chain_operator(vectors: np.ndarray) -> np.ndarray:
+    """Reference B_n as a Kronecker chain of 2x2 matrices for arbitrary
+    (possibly non-unit) 3-vectors:
+    B_n = B_{n-1} (x) (a_n + a_n').sigma/2 + B_{n-1}' (x) (a_n - a_n').sigma/2."""
+    b = 2.0 * pauli_dot(vectors[0, 0])
+    bp = 2.0 * pauli_dot(vectors[0, 1])
+    for a, ap in vectors[1:]:
+        m_plus = 0.5 * (pauli_dot(a) + pauli_dot(ap))
+        m_minus = 0.5 * (pauli_dot(a) - pauli_dot(ap))
+        b, bp = (np.kron(b, m_plus) + np.kron(bp, m_minus),
+                 np.kron(bp, m_plus) - np.kron(b, m_minus))
+    return b
 
 
 @pytest.fixture

@@ -13,7 +13,8 @@ from bellkit.bellop import (Assignment, Settings, bell_expectation,
                             ghz_optimal_settings, lhv_max)
 from bellkit.qstate import PureState, pauli_dot
 
-from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
+from conftest import (ghz_pure, kron_chain_operator, random_density, random_pure,
+                      random_unit_vectors)
 
 
 def evaluate_poly(poly, asg: Assignment) -> Fraction:
@@ -63,6 +64,92 @@ def brute_force_lhv_max(n: int) -> Fraction:
         values = tuple((bits[2 * i], bits[2 * i + 1]) for i in range(n))
         best = max(best, f(values, False))
     return best
+
+
+def fraction_expansion(n: int) -> dict:
+    """Reference: the expansion of F_n by the recursion on Fraction
+    dictionaries, F_n(c + (0,)) = (alpha + alpha')/2 and
+    F_n(c + (1,)) = (alpha - alpha')/2, with alpha' the coefficient of the
+    swapped choice string."""
+    coeffs: dict = {(0,): Fraction(2)}
+    for _ in range(n - 1):
+        swapped = {tuple(1 - c for c in choice): v for choice, v in coeffs.items()}
+        new: dict = {}
+        for choice in set(coeffs) | set(swapped):
+            alpha = coeffs.get(choice, Fraction(0))
+            alpha_p = swapped.get(choice, Fraction(0))
+            if alpha + alpha_p:
+                new[choice + (0,)] = (alpha + alpha_p) / 2
+            if alpha - alpha_p:
+                new[choice + (1,)] = (alpha - alpha_p) / 2
+        coeffs = new
+    return coeffs
+
+
+def dp_lhv_table(n: int) -> np.ndarray:
+    """Reference: F_n on all 4^n assignments by an int64 dynamic program over
+    the joint (F_k, F_k') recursion, qubit 1 most significant and each
+    qubit's (a, a') ordered (1, 1), (1, -1), (-1, 1), (-1, -1)."""
+    a = np.array([1, 1, -1, -1], dtype=np.int64)
+    ap = np.array([1, -1, 1, -1], dtype=np.int64)
+    f, fp = 2 * a, 2 * ap
+    plus, minus = a + ap, a - ap
+    for _ in range(n - 1):
+        new_f = (plus[None, :] * f[:, None] + minus[None, :] * fp[:, None]) // 2
+        new_fp = (plus[None, :] * fp[:, None] - minus[None, :] * f[:, None]) // 2
+        f, fp = new_f.reshape(-1), new_fp.reshape(-1)
+    return f
+
+
+ONE_QUBIT_ASSIGNMENTS = (np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))
+
+
+def assignment_table(n: int, primed: bool = False) -> np.ndarray:
+    """F_n (or F_n') on all 4^n assignments, from the fold."""
+    a, ap = ONE_QUBIT_ASSIGNMENTS
+    return bellop._fold([(ap, a) if primed else (a, ap)] * n)
+
+
+class TestFold:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_operator_equals_kron_chain(self, n, rng):
+        for _ in range(3 if n <= 8 else 1):
+            vectors = random_unit_vectors(n, rng)
+            assert np.array_equal(bell_operator(Settings(vectors)), kron_chain_operator(vectors))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_expansion_equals_fraction_recursion(self, n):
+        coeffs = expand_correlators(n).coeffs
+        assert dict(coeffs) == fraction_expansion(n)
+        assert list(coeffs) == sorted(coeffs)
+        assert all(type(c) is int for choice in coeffs for c in choice)
+        assert all(type(v) is Fraction for v in coeffs.values())
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_lhv_table_equals_dynamic_program(self, n):
+        reference = dp_lhv_table(n)
+        assert np.array_equal(assignment_table(n), reference)
+        assert lhv_max(n) == reference.max() == 2
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_split_identity_on_every_assignment(self, n):
+        # F_n = (F_{n-m} + F_{n-m}') F_m / 4 + (F_{n-m} - F_{n-m}') F_m' / 4,
+        # head on the first n-m qubits, so F_n's table is head-major
+        full = assignment_table(n)
+        for m in range(1, n):
+            head, head_p = assignment_table(n - m), assignment_table(n - m, primed=True)
+            tail, tail_p = assignment_table(m), assignment_table(m, primed=True)
+            rhs = (np.outer(head + head_p, tail) + np.outer(head - head_p, tail_p)) / 4
+            assert np.array_equal(full.reshape(4 ** (n - m), 4 ** m), rhs)
+
+    def test_tables_match_exact_evaluator(self):
+        # entry i of the table is the assignment whose base-4 digits index
+        # each qubit's (a, a') in ONE_QUBIT_ASSIGNMENTS order
+        table, table_p = assignment_table(3), assignment_table(3, primed=True)
+        pairs = list(zip(*ONE_QUBIT_ASSIGNMENTS))
+        for idx, values in enumerate(itertools.product(pairs, repeat=3)):
+            asg = Assignment(values)
+            assert (table[idx], table_p[idx]) == (f_classical(asg), f_prime(asg))
 
 
 assignments = st.integers(min_value=1, max_value=6).flatmap(
@@ -243,7 +330,7 @@ class TestBellExpectation:
         rng = np.random.default_rng(seed)
         state = random_density(n, rng) if mixed else random_pure(n, rng)
         vectors = random_unit_vectors(n, rng)
-        via_tensor = bellop._bell_weights(vectors) @ bellop._correlation_tensor(state)
+        via_tensor = bellop._fold(vectors) @ bellop._correlation_tensor(state)
         assert via_tensor == pytest.approx(bell_expectation(state, Settings(vectors)), abs=1e-10)
 
     def test_dimension_mismatch(self):
@@ -300,7 +387,7 @@ def two_sign_ghz_settings(n: int) -> Settings:
             phi = (j - 1) * ((-1) ** (n + 1)) * np.pi / (2 * n)
             vecs.append((xy(phi), xy(phi + sign * np.pi / 2)))
         st_ = Settings.from_pairs(vecs)
-        val = float(bellop._bell_weights(st_.vectors) @ corr)
+        val = float(bellop._fold(st_.vectors) @ corr)
         if val > best_val:
             best, best_val = st_, val
     assert best_val == pytest.approx(2 ** ((n + 1) / 2), abs=1e-9)

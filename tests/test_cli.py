@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bellkit import cli, qstate, symstate, verification
+from bellkit import cli, criteria, optimize, qstate, symstate, verification
 from bellkit.bellop import ghz_optimal_settings
 
 from conftest import ghz_pure
@@ -403,3 +403,89 @@ class TestVerifyCommand:
         assert code == 0
         obj = json.loads(path.read_text())
         assert obj["all_passed"] is True
+
+
+def parse_error(capsys, *argv):
+    """Exit code and stderr of an invocation argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("the command ran its computation")
+
+
+class TestOptionsThatChangeNothing:
+    @pytest.mark.parametrize("argv", [("bellmax", "--n", "2"),
+                                      ("criteria", "--which", "distribute", "--n", "3",
+                                       "--k", "1")])
+    def test_csv_not_offered_without_rows(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(optimize, "max_eigen_settings", fail_if_called)
+        monkeypatch.setattr(criteria, "distribute_check", fail_if_called)
+        code, err = parse_error(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert "invalid choice" in err
+
+    def test_verify_rejects_csv(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(verification, "run_all", fail_if_called)
+        path = tmp_path / "verify.out"
+        code, err = parse_error(capsys, "verify", "--format", "csv", "--out", str(path))
+        assert code == 2
+        assert "invalid choice" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [("basis", "--n", "2"), ("bellbasis", "--n", "2"),
+                                      ("verify",)])
+    def test_seed_only_where_drawn(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(verification, "run_all", fail_if_called)
+        code, err = parse_error(capsys, *argv, "--seed", "5")
+        assert code == 2
+        assert "unrecognized arguments: --seed" in err
+
+    @pytest.mark.parametrize("argv", [("bellmax", "--n", "2"),
+                                      ("criteria", "--which", "distribute", "--n", "3",
+                                       "--k", "1"),
+                                      ("verify",)])
+    def test_csv_config_line_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(optimize, "max_eigen_settings", fail_if_called)
+        monkeypatch.setattr(criteria, "distribute_check", fail_if_called)
+        monkeypatch.setattr(verification, "run_all", fail_if_called)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = csv\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "--format json" in err and "'csv'" in err
+
+    def test_unknown_format_config_line_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run_cli(capsys, "certify", "--n", "3", "--E", "2.5",
+                                 "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "--format json or csv" in err
+
+
+class TestNonIntegerQubitCount:
+    def test_state_file_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        obj = qstate.state_to_json(ghz_pure(2))
+        obj["n"] = 2.7
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "criteria", "--which", "fragility",
+                                 "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
+    def test_sym_state_file_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sym.json"
+        obj = symstate.sym_to_json(symstate.ghz(2))
+        obj["n"] = 2.7
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "criteria", "--which", "mm", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert "integer" in err

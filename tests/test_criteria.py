@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from bellkit import criteria, symstate
+from bellkit import symstate
 from bellkit.criteria import (depolarize, distribute_check, fragility,
                               mm_example_states, mm_partial_residual,
-                              mutual_information, symmetric_reduced_matrix)
+                              mutual_information, schmidt_map)
 from bellkit.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PureState,
                             partial_trace, pauli_expect, spectrum, tensor, z_bases)
 
 from conftest import ghz_pure, random_density, random_pure
+
+
+def conjugate_1q(arr: np.ndarray, u: np.ndarray, qubit0: int, n: int) -> np.ndarray:
+    """U_q rho U_q^dagger on a [2]*2n reshaped density tensor."""
+    out = np.tensordot(u, arr, axes=([1], [qubit0]))
+    out = np.moveaxis(out, 0, qubit0)
+    out = np.tensordot(u.conj(), out, axes=([1], [n + qubit0]))
+    return np.moveaxis(out, 0, n + qubit0)
 
 
 def depolarize_integrate(rho: DensityMatrix, t: float, steps: int = 400) -> DensityMatrix:
@@ -21,7 +29,7 @@ def depolarize_integrate(rho: DensityMatrix, t: float, steps: int = 400) -> Dens
         out = -3.0 * n * arr
         for q in range(n):
             for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-                out = out + criteria._conjugate_1q(arr, sigma, q, n)
+                out = out + conjugate_1q(arr, sigma, q, n)
         return out
 
     arr = rho.mat.reshape([2] * (2 * n)).astype(complex)
@@ -33,6 +41,14 @@ def depolarize_integrate(rho: DensityMatrix, t: float, steps: int = 400) -> Dens
         k4 = rhs(arr + h * k3)
         arr = arr + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return DensityMatrix(n, arr.reshape(rho.dim, rho.dim))
+
+
+def symmetric_reduced_matrix(state: symstate.SymState, m: int) -> np.ndarray:
+    """Reference: (m+1)x(m+1) block of the m-qubit partial state in the
+    orthonormal symmetric basis, M M^H / |M|_F^2 with M = schmidt_map c,
+    independent of the dense embed/partial-trace route."""
+    mat = schmidt_map(state.n, m) @ state.as_complex()
+    return mat @ mat.conj().T / np.vdot(mat, mat).real
 
 
 class TestFragility:
@@ -97,6 +113,18 @@ class TestDepolarize:
             exact = depolarize(rho, t)
             stepped = depolarize_integrate(rho, t, steps=400)
             assert np.max(np.abs(exact.mat - stepped.mat)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_pauli_twirl(self, n, rng):
+        # per qubit, tr_q(rho) (x) I/2 = (rho + X rho X + Y rho Y + Z rho Z)/4
+        rho = random_density(n, rng)
+        p = np.exp(-4 * 0.07)
+        arr = rho.mat.reshape([2] * (2 * n))
+        for q in range(n):
+            twirl = arr + sum(conjugate_1q(arr, s, q, n) for s in (PAULI_X, PAULI_Y, PAULI_Z))
+            arr = p * arr + (1 - p) * 0.25 * twirl
+        out = depolarize(rho, 0.07)
+        assert np.max(np.abs(out.mat - arr.reshape(rho.dim, rho.dim))) <= 1e-15
 
     def test_long_time_limit_is_maximally_mixed(self, rng):
         rho = random_density(2, rng)

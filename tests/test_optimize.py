@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import criteria, optimize, symstate
-from bellkit.bellop import _bell_operator_raw, _correlation_tensor
+from bellkit.bellop import _correlation_tensor
 from bellkit.optimize import (MAX_ITERATIONS, max_eigen_settings, max_violation_settings,
                               product_bound_max, search_mm_partial)
 from bellkit.qstate import PureState
 
-from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
+from conftest import (ghz_pure, kron_chain_operator, random_density, random_pure,
+                      random_unit_vectors)
 
 
 def dense_expectation(state, vectors):
     """<B(vectors)> through the dense operator; vectors may be axis or zero
     probes, so no unit-norm validation."""
-    b = _bell_operator_raw(vectors)
+    b = kron_chain_operator(vectors)
     if isinstance(state, PureState):
         return float(np.vdot(state.amp, b @ state.amp).real)
     return float(np.einsum("ij,ji->", state.mat, b).real)

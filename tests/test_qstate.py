@@ -118,6 +118,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PureState(15, np.zeros(2**15))
 
+    @pytest.mark.parametrize("bad", [2.7, 1.5, 2.0, np.float64(2.0), True, np.True_, "2"])
+    def test_non_integer_qubit_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="integer"):
+            PureState(bad, [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="integer"):
+            DensityMatrix(bad, np.eye(4) / 4)
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_qubit_count_accepted(self, n):
+        assert type(PureState(n, [1.0, 0.0, 0.0, 0.0]).n) is int
+        assert DensityMatrix(n, np.eye(4) / 4).n == 2
+
     def test_amplitudes_immutable(self):
         psi = PureState(1, [1.0, 0.0])
         with pytest.raises(ValueError):
@@ -527,6 +539,13 @@ class TestStateFiles:
         loaded = qstate.load_state(path)
         assert isinstance(loaded, DensityMatrix)
         assert np.allclose(loaded.mat, rho.mat, atol=1e-15)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_non_integer_n_rejected(self, mixed, rng):
+        obj = qstate.state_to_json(random_density(2, rng) if mixed else random_pure(2, rng))
+        obj["n"] = 2.7
+        with pytest.raises(ValueError, match="integer"):
+            qstate.state_from_json(obj)
 
     def test_json_shape(self, tmp_path):
         path = tmp_path / "s.json"

@@ -107,6 +107,22 @@ class TestEmbed:
             SymState(n, coeff)
 
 
+class TestQubitCount:
+    @pytest.mark.parametrize("bad,coeff", [(2.5, [1, 0, 0]), (2.0, [1, 0, 0]),
+                                           (True, [1, 0]), (np.float64(1.0), [1, 0])])
+    def test_non_integer_rejected(self, bad, coeff):
+        with pytest.raises(ValueError, match="integer"):
+            SymState(bad, coeff)
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_accepted(self, n):
+        assert type(SymState(n, [1, 0, 1]).n) is int
+
+    def test_range_enforced(self):
+        with pytest.raises(ValueError, match="qubit count"):
+            SymState(0, [1])
+
+
 class TestSplit:
     def test_vacuum_single_term(self):
         assert split(0, 5, 2) == [(0, 1)]
@@ -243,6 +259,12 @@ class TestJson:
         again = sym_from_json(sym_to_json(state))
         assert not again.exact
         assert np.allclose(again.as_complex(), state.as_complex())
+
+    def test_non_integer_n_rejected(self):
+        obj = sym_to_json(ghz(2))
+        obj["n"] = 2.7
+        with pytest.raises(ValueError, match="integer"):
+            sym_from_json(obj)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "sym.json"
