@@ -17,7 +17,15 @@ choose the algebra:
     +-1 pair ([1,1,-1,-1], [1,-1,1,-1])       F_n on all 4^n assignments
 
 The coefficients are dyadic rationals and the assignment values small
-integers, so both tables are exact in float64.  Deterministic
+integers, so both tables are exact in float64.
+
+G = F_n + i F_n' obeys G_n = G_{n-1} (x) ((1-i) A_n + (1+i) A_n')/2 with
+G_1 = 2 (A_1 + i A_1'), so the recursion has a rank-one form: with
+z_1 = 2 (a_1 + i a_1') and z_j = ((1-i) a_j + (1+i) a_j')/2 for j >= 2
+(_rank_one_factors), W_n = Re(z_1 (x) ... (x) z_n) and
+B_n = (G + G^dagger)/2 with G = (z_1.sigma) (x) ... (x) (z_n.sigma).
+<B_n> = W_n . T is then linear in each z_j, which gives the optimizers the
+exact gradient and Hessian of <B_n> in the settings.  Deterministic
 +-1 assignments can never push F_n above 2, while B_n satisfies
 B_n^2 <= 2^(n+1) and reaches eigenvalue 2^((n+1)/2) at the GHZ states, an
 exponentially growing gap that powers the entanglement-depth certificates in
@@ -218,6 +226,15 @@ def expand_correlators(n: int) -> CorrelatorPoly:
     table = _fold([np.eye(2)] * n).tolist()
     return CorrelatorPoly(n, {choice: Fraction(v) for choice, v
                               in zip(itertools.product((0, 1), repeat=n), table) if v})
+
+
+def _rank_one_factors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, c): complex per-qubit factors z[j] = c[j, 0] a_j + c[j, 1] a_j'
+    with _fold(vectors) = Re(z[0] (x) ... (x) z[n-1]), and their weights c."""
+    c = np.empty((vectors.shape[0], 2), dtype=complex)
+    c[0] = 2, 2j
+    c[1:] = (1 - 1j) / 2, (1 + 1j) / 2
+    return np.einsum("jx,jxk->jk", c, vectors), c
 
 
 def _operator(vectors: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ Commands:
     bellbasis  the 2^n-state orthonormal GHZ-type basis with its Gram check
     verify     run the whole verification battery and print a pass/fail table
 
-Every command echoes its fully resolved configuration inside the JSON
-output; re-running that configuration reproduces the output byte for byte.
+Every command echoes the configuration it resolved, and only the keys it
+reads, inside the JSON output; re-running that configuration reproduces the
+output byte for byte.  A config-file key the command does not read is a
+usage error.
 Exit codes: 0 success, 1 a property check failed, 2 usage error.
 """
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,20 +32,6 @@ DEFAULT_RESTARTS = 20
 DEFAULT_TOL = 1e-9
 DEFAULT_SHOTS = 10**5
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE = 0, 1, 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: Optional[int] = None
-    seed: int = DEFAULT_SEED
-    restarts: int = DEFAULT_RESTARTS
-    tol: float = DEFAULT_TOL
-    shots: int = DEFAULT_SHOTS
-    state: Optional[str] = None
-    settings: Optional[str] = None
-    out: Optional[str] = None
-    format: str = "json"
 
 
 def _load_config_file(path: str) -> dict:
@@ -68,22 +55,25 @@ _CONFIG_TYPES = {"n": int, "seed": int, "restarts": int, "shots": int,
                  "trials": int, "which": str, "to": str}
 
 
-def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
-    """defaults < config file < explicit flags."""
-    merged: dict = {}
+def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    """defaults < config file < explicit flags, over the keys the command
+    reads: those of ``defaults`` (None where there is no default) plus out
+    and format.  A config-file key outside them is a usage error."""
+    merged = {"out": None, "format": "json", **defaults}
     if getattr(args, "config", None):
         for key, val in _load_config_file(args.config).items():
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
+            if key not in merged:
+                raise ValueError(f"{args.command} does not read config key {key!r}")
             merged[key] = _CONFIG_TYPES[key](val)
-    for key in keys:
+    for key in merged:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    fmt = merged.get("format", "json")
-    if fmt not in args.formats:
+    if merged["format"] not in args.formats:
         raise ValueError(f"{args.command} writes --format {' or '.join(args.formats)}, "
-                         f"not {fmt!r}")
+                         f"not {merged['format']!r}")
     return merged
 
 
@@ -99,27 +89,24 @@ def _emit(payload: dict, out: Optional[str], fmt: str, csv_rows=None) -> None:
             fh.write(text)
 
 
-def _config_echo(cfg: RunConfig, extras: dict | None = None) -> dict:
-    echo = {k: v for k, v in asdict(cfg).items() if v is not None}
-    if extras:
-        echo.update({k: v for k, v in extras.items() if v is not None})
-    return echo
+def _config_echo(args: argparse.Namespace, opts: dict, extras: dict | None = None) -> dict:
+    """The command, its resolved keys and any flags, all that are not None."""
+    echo = {"command": args.command, **opts, **(extras or {})}
+    return {k: v for k, v in echo.items() if v is not None}
 
 
 def _cmd_bellmax(args) -> int:
-    opts = _resolve(args, ["n", "seed", "restarts", "tol", "out", "format"])
-    n = opts.get("n")
+    opts = _resolve(args, {"n": None, "seed": DEFAULT_SEED, "restarts": DEFAULT_RESTARTS,
+                           "tol": DEFAULT_TOL})
+    n = opts["n"]
     if n is None or n < 2:
         print("bellmax requires --n >= 2", file=sys.stderr)
         return EXIT_USAGE
-    cfg = RunConfig("bellmax", n=n, seed=opts.get("seed", DEFAULT_SEED),
-                    restarts=opts.get("restarts", DEFAULT_RESTARTS),
-                    tol=opts.get("tol", DEFAULT_TOL),
-                    out=opts.get("out"), format=opts.get("format", "json"))
-    res = optimize.max_eigen_settings(n, restarts=cfg.restarts, tol=cfg.tol, seed=cfg.seed)
+    res = optimize.max_eigen_settings(n, restarts=opts["restarts"], tol=opts["tol"],
+                                      seed=opts["seed"])
     target = 2.0 ** ((n + 1) / 2)
     payload = {
-        "config": _config_echo(cfg),
+        "config": _config_echo(args, opts),
         "best_value": res.best_value,
         "target": target,
         "deviation": abs(res.best_value - target),
@@ -127,65 +114,61 @@ def _cmd_bellmax(args) -> int:
         "converged": res.converged,
         "restart_status": {s: res.statuses.count(s) for s in optimize.RESTART_STATUSES},
     }
-    _emit(payload, cfg.out, cfg.format)
+    _emit(payload, opts["out"], opts["format"])
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
-    opts = _resolve(args, ["n", "seed", "shots", "state", "settings", "out",
-                           "format", "E", "epsilon"])
-    n = opts.get("n")
+    opts = _resolve(args, {"n": None, "seed": DEFAULT_SEED, "shots": DEFAULT_SHOTS,
+                           "state": None, "settings": None, "E": None, "epsilon": None})
+    n = opts["n"]
     estimate_mode = bool(getattr(args, "estimate", False))
-    cfg = RunConfig("certify", n=n, seed=opts.get("seed", DEFAULT_SEED),
-                    shots=opts.get("shots", DEFAULT_SHOTS),
-                    state=opts.get("state"), settings=opts.get("settings"),
-                    out=opts.get("out"), format=opts.get("format", "json"))
-    extras = {"E": opts.get("E"), "epsilon": opts.get("epsilon"),
-              "estimate": estimate_mode or None}
+    echo = _config_echo(args, opts, {"estimate": estimate_mode or None})
     try:
         if estimate_mode:
-            if not cfg.state or not cfg.settings:
+            if not opts["state"] or not opts["settings"]:
                 print("--estimate needs --state and --settings files", file=sys.stderr)
                 return EXIT_USAGE
-            state = qstate.load_state(cfg.state)
-            st = bellop.Settings.load(cfg.settings)
-            est = certify.estimate_E(state, st, cfg.shots, cfg.seed)
-            epsilon = opts.get("epsilon", certify.ESTIMATE_SIGMA * est.stderr)
+            state = qstate.load_state(opts["state"])
+            st = bellop.Settings.load(opts["settings"])
+            est = certify.estimate_E(state, st, opts["shots"], opts["seed"])
+            epsilon = opts["epsilon"]
+            if epsilon is None:
+                epsilon = certify.ESTIMATE_SIGMA * est.stderr
             result = certify.certify_depth(est.value, state.n, epsilon)
-            payload = {"config": _config_echo(cfg, extras),
+            payload = {"config": echo,
                        "estimate": {"E": est.value, "stderr": est.stderr},
                        "certificate": result.to_json()}
         else:
-            value = opts.get("E")
+            value = opts["E"]
             if n is None or value is None:
                 print("exact mode needs --n and --E", file=sys.stderr)
                 return EXIT_USAGE
             if value < 0:
                 print("E must be nonnegative", file=sys.stderr)
                 return EXIT_USAGE
-            epsilon = opts.get("epsilon", certify.EXACT_EPSILON)
+            epsilon = opts["epsilon"]
+            if epsilon is None:
+                epsilon = certify.EXACT_EPSILON
             result = certify.certify_depth(value, n, epsilon)
-            payload = {"config": _config_echo(cfg, extras),
+            payload = {"config": echo,
                        "certificate": result.to_json()}
     except FileNotFoundError as exc:
         print(f"missing file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
     rows = [["k", "bound"]] + [[k, b] for k, b in enumerate(result.thresholds)]
-    _emit(payload, cfg.out, cfg.format, csv_rows=rows)
+    _emit(payload, opts["out"], opts["format"], csv_rows=rows)
     return EXIT_OK
 
 
 def _cmd_criteria(args) -> int:
-    opts = _resolve(args, ["n", "k", "trials", "seed", "state", "out",
-                           "format", "which"])
-    which = opts.get("which")
-    cfg = RunConfig("criteria", n=opts.get("n"), seed=opts.get("seed", DEFAULT_SEED),
-                    state=opts.get("state"), out=opts.get("out"),
-                    format=opts.get("format", "json"))
-    extras = {"which": which, "k": opts.get("k"), "trials": opts.get("trials")}
+    opts = _resolve(args, {"n": None, "k": None, "trials": None, "seed": DEFAULT_SEED,
+                           "state": None, "which": None})
+    which = opts["which"]
+    echo = _config_echo(args, opts)
     try:
         if which == "fragility":
-            state = qstate.load_state(cfg.state)
+            state = qstate.load_state(opts["state"])
             if not isinstance(state, qstate.PureState):
                 print("fragility needs a pure-state file", file=sys.stderr)
                 return EXIT_USAGE
@@ -193,29 +176,28 @@ def _cmd_criteria(args) -> int:
             body = {"fragility": rep.fragility, "is_maximal": rep.is_maximal,
                     "bloch": [list(map(float, b)) for b in rep.bloch]}
         elif which == "mutinfo":
-            state = qstate.load_state(cfg.state)
+            state = qstate.load_state(opts["state"])
             mi = criteria.mutual_information(state, qstate.z_bases(state.n))
             body = {"mutual_information_bits": mi}
         elif which == "mm":
-            sym = symstate.load_sym(cfg.state)
+            sym = symstate.load_sym(opts["state"])
             rep = criteria.mm_partial_residual(sym)
             body = {"m": rep.m, "residual": rep.residual,
                     "observed": list(map(float, rep.observed)),
                     "target": list(map(float, rep.target))}
         elif which == "distribute":
-            n, k = opts.get("n"), opts.get("k")
+            n, k = opts["n"], opts["k"]
             if n is None or k is None:
                 print("distribute needs --n and --k", file=sys.stderr)
                 return EXIT_USAGE
-            rep = criteria.distribute_check(n, k, opts.get("trials", 200),
-                                            cfg.seed)
+            trials = 200 if opts["trials"] is None else opts["trials"]
+            rep = criteria.distribute_check(n, k, trials, opts["seed"])
             body = {"n": rep.n, "k": rep.k, "trials": rep.trials,
                     "x_passes": rep.x_passes, "z_passes": rep.z_passes,
                     "worst_fidelity_error": rep.worst_fidelity_error,
                     "passed": rep.passed}
             if not rep.passed:
-                _emit({"config": _config_echo(cfg, extras), "report": body},
-                      cfg.out, cfg.format)
+                _emit({"config": echo, "report": body}, opts["out"], opts["format"])
                 return EXIT_CHECK_FAILED
         else:
             print("--which must be fragility|mutinfo|mm|distribute", file=sys.stderr)
@@ -226,21 +208,19 @@ def _cmd_criteria(args) -> int:
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit({"config": _config_echo(cfg, extras), "report": body}, cfg.out, cfg.format)
+    _emit({"config": echo, "report": body}, opts["out"], opts["format"])
     return EXIT_OK
 
 
 def _cmd_basis(args) -> int:
-    opts = _resolve(args, ["n", "state", "out", "format", "to"])
-    n, to = opts.get("n"), opts.get("to", "x")
-    cfg = RunConfig("basis", n=n, state=opts.get("state"),
-                    out=opts.get("out"), format=opts.get("format", "json"))
+    opts = _resolve(args, {"n": None, "state": None, "to": "x"})
+    n, to = opts["n"], opts["to"]
     if to not in ("x", "y"):
         print("--to must be x or y", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if cfg.state:
-            sym = symstate.load_sym(cfg.state)
+        if opts["state"]:
+            sym = symstate.load_sym(opts["state"])
             if to == "y":
                 print("general z -> y conversion is unsupported (GHZ only)",
                       file=sys.stderr)
@@ -276,16 +256,14 @@ def _cmd_basis(args) -> int:
     for i, table in enumerate(tables):
         for ell, coeff in enumerate(table["output"]["coeff"]):
             rows.append([table["input"]["coeff"][-1], ell, coeff])
-    _emit({"config": _config_echo(cfg, {"to": to}), "tables": tables},
-          cfg.out, cfg.format, csv_rows=rows)
+    _emit({"config": _config_echo(args, opts), "tables": tables},
+          opts["out"], opts["format"], csv_rows=rows)
     return EXIT_OK
 
 
 def _cmd_bellbasis(args) -> int:
-    opts = _resolve(args, ["n", "out", "format"])
-    n = opts.get("n")
-    cfg = RunConfig("bellbasis", n=n, out=opts.get("out"),
-                    format=opts.get("format", "json"))
+    opts = _resolve(args, {"n": None})
+    n = opts["n"]
     if n is None or n < 2:
         print("bellbasis requires --n >= 2", file=sys.stderr)
         return EXIT_USAGE
@@ -293,7 +271,7 @@ def _cmd_bellbasis(args) -> int:
     vecs = np.array([s.to_pure().amp for s in states])
     gram_err = float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(2**n))))
     payload = {
-        "config": _config_echo(cfg),
+        "config": _config_echo(args, opts),
         "count": len(states),
         "gram_error": gram_err,
         "gram_is_identity": gram_err <= 1e-12,
@@ -301,26 +279,25 @@ def _cmd_bellbasis(args) -> int:
                    for s in states],
     }
     rows = [["bits", "sign"]] + [["".join(map(str, s.bits)), s.sign] for s in states]
-    _emit(payload, cfg.out, cfg.format, csv_rows=rows)
+    _emit(payload, opts["out"], opts["format"], csv_rows=rows)
     return EXIT_OK if payload["gram_is_identity"] else EXIT_CHECK_FAILED
 
 
 def _cmd_verify(args) -> int:
-    opts = _resolve(args, ["out", "format"])
+    opts = _resolve(args, {})
     fast = bool(getattr(args, "fast", False))
-    cfg = RunConfig("verify", out=opts.get("out"), format=opts.get("format", "json"))
     results = verification.run_all(fast=fast)
     for res in results:   # wall times go to stderr only, so stdout and --out replay
         print(res.line())
         print(f"{res.check_id}  [{res.seconds:.1f}s]", file=sys.stderr)
     payload = {
-        "config": _config_echo(cfg, {"fast": fast or None}),
+        "config": _config_echo(args, opts, {"fast": fast or None}),
         "results": [{"id": r.check_id, "description": r.description, "passed": r.passed}
                     for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if opts["out"]:
+        with open(opts["out"], "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=float)
     print("all checks passed" if payload["all_passed"] else "SOME CHECKS FAILED")
     return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED

@@ -12,6 +12,13 @@ updated, and reads the coefficients of a_j and a_j' from one contraction of T
 per qubit.  T is built once per state.  Dense operators remain only for the
 eigenvalue steps and for re-verifying every reported optimum.
 
+Coordinate ascent converges linearly, and on generic states slowly.  When
+max_violation_settings sees its sweep gains shrink by less than
+NEWTON_GATE per sweep over three sweeps, it tries one Riemannian Newton
+step on the 2n unit spheres of the settings.  Its gradient and Hessian are
+exact and cheap because <B_n> = Re(z_1 (x) ... (x) z_n) . T is linear in
+each per-qubit factor z_j (the rank-one form of bellop._rank_one_factors).
+
 Every optimizer runs through one multi-start driver, _multistart, and keeps
 only its per-restart step generator and its re-verification.  The driver
 draws restart r from a child generator spawned by counter from the caller's
@@ -32,7 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria, symstate
-from .bellop import Settings, _correlation_tensor, _fold, _lift_step, _operator, bell_expectation
+from .bellop import (Settings, _correlation_tensor, _fold, _lift_step, _operator,
+                     _rank_one_factors, bell_expectation)
 from .qstate import PureState, State, child_rng
 
 BACKTRACK_FACTOR = 0.5    # line-search shrink factor
@@ -40,6 +48,8 @@ MAX_ITERATIONS = 500      # per-restart iteration cap
 ASCENT_SLACK = 1e-12      # allowed arithmetic regression per accepted step
 VERIFY_ATOL = 1e-10       # argmax re-evaluation tolerance
 RESTART_STATUSES = ("converged", "stalled", "capped")
+NEWTON_GATE = 0.25        # sweep gain ratio above which a settings ascent tries a Newton step
+LEVENBERG_TRIES = 3       # Newton shifts tried, growing tenfold, before the step is dropped
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,75 @@ def _coordinate_sweep(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     return vectors, float(np.sum(g * vectors[-1]))
 
 
+def _fold_derivatives(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient (n, 2, 3) and Hessian (n, 2, 3, n, 2, 3) of
+    f = _fold(vectors) . corr with respect to the direction vectors.
+
+    With f = Re(z_1 (x) ... (x) z_n) . T and z_j = c_j0 a_j + c_j1 a_j', the
+    gradient in a_j (a_j') is Re(c_j0 E_j) (Re(c_j1 E_j)), where E_j is T
+    contracted with every z except z_j; a Hessian block between qubits j != k
+    is Re(c_jx c_ky E_jk) with E_jk leaving out z_j and z_k, and the blocks of
+    one qubit are zero.  The contractions of T with z_1..z_{j-1} (prefix)
+    and the Kronecker products of the z's after qubit k (suffix) give every
+    E_j and E_jk without a 6^n tensor.
+    """
+    n = vectors.shape[0]
+    z, c = _rank_one_factors(vectors)
+    suffix = [np.ones(1)]    # suffix[k]: z of the last k qubits, Kronecker-multiplied
+    for zk in z[:0:-1]:
+        suffix.append(np.kron(zk, suffix[-1]))
+    single = np.empty((n, 3), dtype=complex)
+    pair = np.zeros((n, n, 3, 3), dtype=complex)
+    prefix = corr
+    for j in range(n):
+        rest = prefix.reshape(3, -1)    # axes j..n-1 of T, qubits before j contracted
+        single[j] = rest @ suffix[n - 1 - j]
+        middle = np.ones(1)             # z of the qubits strictly between j and k
+        for k in range(j + 1, n):
+            pair[j, k] = middle @ (rest.reshape(3, middle.size, 3, -1) @ suffix[n - 1 - k])
+            middle = np.kron(middle, z[k])
+        prefix = z[j] @ rest
+    grad = np.einsum("jx,ja->jxa", c, single).real
+    hess = np.einsum("jx,ky,jkab->jxakyb", c, c, pair).real
+    return grad, hess + hess.transpose(3, 4, 5, 0, 1, 2)
+
+
+def _newton_step(corr: np.ndarray, vectors: np.ndarray, value: float):
+    """One Riemannian Newton step for f = _fold(vectors) . corr on the 2n unit
+    spheres of the settings: (vectors, f) after the step, or None when no
+    tried shift raises f above ``value``.
+
+    The Riemannian gradient is the Euclidean one projected onto each tangent
+    plane; the Riemannian Hessian is the projected Hessian minus
+    <x, grad f> on each sphere's tangent plane (normal directions get -1, so
+    the 6n system keeps them out of the step).  The Levenberg shift is the
+    gradient norm, times 1, 10, 100 until f rises, plus the top eigenvalue
+    when the Hessian is not negative definite.  The step is retracted by
+    normalizing every vector.
+    """
+    n2 = 2 * vectors.shape[0]
+    grad, hess = _fold_derivatives(corr, vectors)
+    x, g = vectors.reshape(n2, 3), grad.reshape(n2, 3)
+    radial = np.sum(x * g, axis=1)
+    tangent = (g - radial[:, None] * x).ravel()
+    normal = x[:, :, None] * x[:, None, :]
+    proj = np.eye(3) - normal
+    h = np.einsum("iab,ibkc,kcd->iakd", proj, hess.reshape(n2, 3, n2, 3), proj)
+    rows = np.arange(n2)
+    h[rows, :, rows, :] -= radial[:, None, None] * proj + normal
+    lam, vec = np.linalg.eigh(h.reshape(3 * n2, 3 * n2))
+    coef = vec.T @ tangent
+    size = float(np.linalg.norm(tangent))
+    for k in range(LEVENBERG_TRIES):
+        shift = max(lam[-1], 0.0) + size * 10.0**k
+        moved = x + (vec @ (coef / (shift - lam))).reshape(n2, 3)
+        moved = (moved / np.linalg.norm(moved, axis=1, keepdims=True)).reshape(vectors.shape)
+        moved_value = float(_fold(moved) @ corr)
+        if moved_value > value:
+            return moved, moved_value
+    return None
+
+
 def _multistart(search, finish, restarts: int, seed: int, tol: float,
                 direction: str = "max") -> OptResult:
     """The restart frame every optimizer runs through.
@@ -171,7 +250,13 @@ def _multistart(search, finish, restarts: int, seed: int, tol: float,
 
 def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
                            seed: int = 0) -> OptResult:
-    """Maximize <B_n> over measurement settings for a fixed state."""
+    """Maximize <B_n> over measurement settings for a fixed state.
+
+    Each restart runs coordinate sweeps.  After three sweeps whose gains
+    each fell by less than a factor 1/NEWTON_GATE, a slow linear rate, it
+    tries one Newton step (_newton_step) and keeps it when it raises <B_n>;
+    the next try waits for three more sweeps.
+    """
     if state.n > 10:
         raise ValueError("settings optimization supports n <= 10")
     corr = _correlation_tensor(state)
@@ -179,9 +264,19 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
     def ascent(rng):
         vectors = _random_unit_vectors(rng, state.n)
         value = float(_fold(vectors) @ corr)
+        yield value, None, vectors
+        gains = []
         while True:
+            vectors, swept = _coordinate_sweep(corr, vectors)
+            gains = [*gains[-2:], swept - value]
+            value = swept
             yield value, None, vectors
-            vectors, value = _coordinate_sweep(corr, vectors)
+            if len(gains) == 3 and min(gains[1] / gains[0], gains[2] / gains[1]) > NEWTON_GATE:
+                gains = []
+                step = _newton_step(corr, vectors, value)
+                if step is not None:
+                    vectors, value = step
+                    yield value, None, vectors
 
     def finish(vectors):
         st = Settings(vectors)

@@ -1,17 +1,18 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellkit import bellop
+from bellkit import bellop, optimize
 from bellkit.bellop import (Assignment, Settings, bell_expectation,
                             bell_operator, bound_check, expand_correlators,
                             f_classical, f_prime, fnm_identity_check,
                             ghz_optimal_settings, lhv_max)
-from bellkit.qstate import PureState, pauli_dot
+from bellkit.qstate import PAULI_X, PAULI_Y, PAULI_Z, PureState, pauli_dot
 
 from conftest import (ghz_pure, kron_chain_operator, random_density, random_pure,
                       random_unit_vectors)
@@ -336,6 +337,63 @@ class TestBellExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             bell_expectation(ghz_pure(2), ghz_optimal_settings(3))
+
+
+class TestRankOneForm:
+    """W_n = Re(z_1 (x) ... (x) z_n) and B_n = (G + G^dagger)/2, with
+    G = (z_1.sigma) (x) ... (x) (z_n.sigma), for arbitrary 3-vectors."""
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_weights_are_real_part_of_product(self, n, seed):
+        vectors = np.random.default_rng(seed).normal(size=(n, 2, 3))
+        z, _ = bellop._rank_one_factors(vectors)
+        weights = bellop._fold(vectors)
+        scale = max(1.0, float(np.max(np.abs(weights))))
+        assert np.max(np.abs(weights - reduce(np.kron, z).real)) <= 1e-13 * scale
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_operator_is_hermitian_part_of_product(self, n, seed):
+        vectors = np.random.default_rng(seed).normal(size=(n, 2, 3))
+        z, _ = bellop._rank_one_factors(vectors)
+        g = reduce(np.kron, [zj[0] * PAULI_X + zj[1] * PAULI_Y + zj[2] * PAULI_Z for zj in z])
+        b = bellop._operator(vectors)
+        scale = max(1.0, float(np.max(np.abs(b))))
+        assert np.max(np.abs(b - 0.5 * (g + g.conj().T))) <= 1e-13 * scale
+
+
+def block_product_state(n: int, m: int, rng: np.random.Generator) -> PureState:
+    """A random (n-m)-qubit block (x) m random single-qubit states."""
+    parts = [rng.normal(size=2 ** (n - m)) + 1j * rng.normal(size=2 ** (n - m))]
+    parts += [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(m)]
+    return PureState(n, reduce(np.kron, [p / np.linalg.norm(p) for p in parts]))
+
+
+class TestPaperBounds:
+    """The bounds the depth certificates rest on, as properties over n and
+    the seed."""
+
+    @given(st.integers(2, 8), st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_m_independent_qubits_cap_the_violation(self, n, data, seed):
+        m = data.draw(st.integers(1, n - 1), label="m")
+        rng = np.random.default_rng(seed)
+        state = block_product_state(n, m, rng)
+        corr = bellop._correlation_tensor(state)
+        cap = 2 ** ((n - m + 1) / 2) + bellop.BOUND_SLACK
+        vectors = random_unit_vectors(n, rng)
+        assert bellop._fold(vectors) @ corr <= cap
+        for _ in range(4):    # sweeps push the settings toward this state's maximum
+            vectors, value = optimize._coordinate_sweep(corr, vectors)
+            assert value <= cap
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_operator_square_below_cap(self, n, seed):
+        res = bound_check(Settings(random_unit_vectors(n, np.random.default_rng(seed))))
+        assert res.bound == 2.0 ** (n + 1)
+        assert res.passed and res.lambda_max_sq <= res.bound + bellop.BOUND_SLACK
 
 
 class TestBoundCheck:

@@ -17,6 +17,7 @@ def run_cli(capsys, *argv):
 
 # stdout of `certify --estimate` on the Werner-GHZ n=5 state below, recorded
 # before the estimator read its distributions from a shared outcome table
+# (the config echo holds only the keys certify reads)
 WERNER5_ESTIMATE_STDOUT = """\
 {
   "certificate": {
@@ -39,12 +40,10 @@ WERNER5_ESTIMATE_STDOUT = """\
     "command": "certify",
     "estimate": true,
     "format": "json",
-    "restarts": 20,
     "seed": 11,
     "settings": "settings.json",
     "shots": 2000,
-    "state": "state.json",
-    "tol": 1e-09
+    "state": "state.json"
   },
   "estimate": {
     "E": 6.064000000000001,
@@ -56,6 +55,7 @@ WERNER5_ESTIMATE_STDOUT = """\
 
 # stdout of `criteria --which distribute`, recorded before measure_sample
 # read its marginal and branch from one contraction of the measured qubits
+# (the config echo holds only the keys criteria reads)
 DISTRIBUTE_STDOUT = {
     ("6", "3", "200", "101"): """\
 {
@@ -64,10 +64,7 @@ DISTRIBUTE_STDOUT = {
     "format": "json",
     "k": 3,
     "n": 6,
-    "restarts": 20,
     "seed": 101,
-    "shots": 100000,
-    "tol": 1e-09,
     "trials": 200,
     "which": "distribute"
   },
@@ -89,10 +86,7 @@ DISTRIBUTE_STDOUT = {
     "format": "json",
     "k": 5,
     "n": 8,
-    "restarts": 20,
     "seed": 4,
-    "shots": 100000,
-    "tol": 1e-09,
     "trials": 300,
     "which": "distribute"
   },
@@ -359,6 +353,34 @@ class TestConfigFile:
         cfg.write_text("qubits = 3\n")
         code, _, _ = run_cli(capsys, "bellmax", "--config", str(cfg), "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv,line", [(("basis", "--n", "2"), "seed = 5"),
+                                           (("bellbasis", "--n", "2"), "restarts = 3"),
+                                           (("bellmax", "--n", "2"), "shots = 10"),
+                                           (("certify", "--n", "3", "--E", "2.5"), "tol = 1e-6"),
+                                           (("verify",), "n = 3")])
+    def test_key_the_command_does_not_read_rejected(self, capsys, tmp_path, monkeypatch,
+                                                    argv, line):
+        monkeypatch.setattr(optimize, "max_eigen_settings", fail_if_called)
+        monkeypatch.setattr(verification, "run_all", fail_if_called)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{argv[0]} does not read config key {line.split()[0]!r}" in err
+
+    @pytest.mark.parametrize("argv,keys", [
+        (("basis", "--n", "2"), {"command", "format", "n", "to"}),
+        (("bellbasis", "--n", "2"), {"command", "format", "n"}),
+        (("certify", "--n", "3", "--E", "2.5"), {"command", "format", "n", "E", "seed", "shots"}),
+        (("bellmax", "--n", "2", "--restarts", "2"),
+         {"command", "format", "n", "restarts", "seed", "tol"}),
+    ])
+    def test_echo_holds_only_the_keys_read(self, capsys, argv, keys):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1)
+        assert set(json.loads(out)["config"]) == keys
 
 
 class TestVerifyCommand:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import criteria, optimize, symstate
-from bellkit.bellop import _correlation_tensor
+from bellkit.bellop import _correlation_tensor, _fold
 from bellkit.optimize import (MAX_ITERATIONS, max_eigen_settings, max_violation_settings,
                               product_bound_max, search_mm_partial)
 from bellkit.qstate import PureState
@@ -61,6 +61,67 @@ class TestCoordinateSweep:
         assert abs(value - dense_expectation(state, got)) < 1e-12
 
 
+def fold_at(corr, vectors, *moves):
+    """_fold(v) . corr with the coordinates of v moved by (flat axis, step)."""
+    x = vectors.ravel().copy()
+    for axis, step in moves:
+        x[axis] += step
+    return float(_fold(x.reshape(vectors.shape)) @ corr)
+
+
+def central_gradient(corr, vectors, h=1e-3):
+    """Gradient of _fold(v) . corr by central differences; exact up to
+    rounding, since the objective is linear in every coordinate."""
+    return np.array([(fold_at(corr, vectors, (a, h)) - fold_at(corr, vectors, (a, -h))) / (2 * h)
+                     for a in range(vectors.size)])
+
+
+def central_hessian(corr, vectors, h=1e-3):
+    """Hessian of _fold(v) . corr by central differences; the diagonal is
+    zero since the objective is linear in every coordinate."""
+    def cross(a, b):
+        return (fold_at(corr, vectors, (a, h), (b, h)) - fold_at(corr, vectors, (a, h), (b, -h))
+                - fold_at(corr, vectors, (a, -h), (b, h))
+                + fold_at(corr, vectors, (a, -h), (b, -h))) / (4 * h * h)
+    return np.array([[cross(a, b) if a != b else 0.0 for b in range(vectors.size)]
+                     for a in range(vectors.size)])
+
+
+def riemannian_gradient_norm(state, vectors):
+    """Norm of the gradient of <B_n> projected onto the unit spheres of the
+    settings, from central differences."""
+    grad = central_gradient(_correlation_tensor(state), vectors)
+    x, g = vectors.reshape(-1, 3), grad.reshape(-1, 3)
+    return float(np.linalg.norm(g - np.sum(x * g, axis=1)[:, None] * x))
+
+
+class TestFoldDerivatives:
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_match_central_differences(self, n, mixed, rng):
+        state = random_density(n, rng) if mixed else random_pure(n, rng)
+        corr = _correlation_tensor(state)
+        vectors = rng.normal(size=(n, 2, 3))
+        grad, hess = optimize._fold_derivatives(corr, vectors)
+        assert np.max(np.abs(grad.ravel() - central_gradient(corr, vectors))) < 1e-9
+        assert np.max(np.abs(hess.reshape(6 * n, 6 * n) - central_hessian(corr, vectors))) < 1e-9
+
+    def test_newton_steps_converge_quadratically(self):
+        state = random_pure(3, np.random.default_rng(0))
+        corr = _correlation_tensor(state)
+        best = max_violation_settings(state, restarts=1, tol=1e-14, seed=0).best_settings.vectors
+        vectors = best + 1e-3 * np.random.default_rng(1).normal(size=best.shape)
+        vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
+        value = float(_fold(vectors) @ corr)
+        norms = [riemannian_gradient_norm(state, vectors)]
+        for _ in range(2):
+            step = optimize._newton_step(corr, vectors, value)
+            assert step is not None and step[1] > value
+            vectors, value = step
+            norms.append(riemannian_gradient_norm(state, vectors))
+        assert norms[0] > 1e-3 and norms[1] < 1e-4 and norms[2] < 1e-8
+
+
 class TestMaxViolationSettings:
     @pytest.mark.parametrize("n,target", [(2, 2**1.5), (3, 4.0), (4, 2**2.5)])
     def test_ghz_reaches_quantum_max(self, n, target):
@@ -94,6 +155,14 @@ class TestMaxViolationSettings:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             max_violation_settings(ghz_pure(2), restarts=2, tol=0.0, seed=0)
+
+    @pytest.mark.parametrize("n", [3, 7, 8])
+    def test_generic_states_converge_to_stationary_settings(self, n):
+        # plain coordinate ascent caps all three restarts here, still climbing
+        state = random_pure(n, np.random.default_rng(3))
+        res = max_violation_settings(state, restarts=3, seed=3)
+        assert res.statuses == ("converged",) * 3
+        assert riemannian_gradient_norm(state, res.best_settings.vectors) <= 1e-4
 
 
 class TestMaxEigenSettings:
