@@ -62,8 +62,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     merged = {"out": None, "format": "json", **defaults}
     if getattr(args, "config", None):
         for key, val in _load_config_file(args.config).items():
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
             if key not in merged:
                 raise ValueError(f"{args.command} does not read config key {key!r}")
             merged[key] = _CONFIG_TYPES[key](val)

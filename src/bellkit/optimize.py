@@ -164,18 +164,18 @@ def _fold_derivatives(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     return grad, hess + hess.transpose(3, 4, 5, 0, 1, 2)
 
 
-def _newton_step(corr: np.ndarray, vectors: np.ndarray, value: float):
+def _newton_step(corr: np.ndarray, vectors: np.ndarray, value: float, min_rise: float):
     """One Riemannian Newton step for f = _fold(vectors) . corr on the 2n unit
     spheres of the settings: (vectors, f) after the step, or None when no
-    tried shift raises f above ``value``.
+    tried shift raises f above ``value`` by more than ``min_rise``.
 
     The Riemannian gradient is the Euclidean one projected onto each tangent
     plane; the Riemannian Hessian is the projected Hessian minus
     <x, grad f> on each sphere's tangent plane (normal directions get -1, so
     the 6n system keeps them out of the step).  The Levenberg shift is the
-    gradient norm, times 1, 10, 100 until f rises, plus the top eigenvalue
-    when the Hessian is not negative definite.  The step is retracted by
-    normalizing every vector.
+    gradient norm, times 1, 10, 100 until f rises enough, plus the top
+    eigenvalue when the Hessian is not negative definite.  The step is
+    retracted by normalizing every vector.
     """
     n2 = 2 * vectors.shape[0]
     grad, hess = _fold_derivatives(corr, vectors)
@@ -195,7 +195,7 @@ def _newton_step(corr: np.ndarray, vectors: np.ndarray, value: float):
         moved = x + (vec @ (coef / (shift - lam))).reshape(n2, 3)
         moved = (moved / np.linalg.norm(moved, axis=1, keepdims=True)).reshape(vectors.shape)
         moved_value = float(_fold(moved) @ corr)
-        if moved_value > value:
+        if moved_value - value > min_rise:
             return moved, moved_value
     return None
 
@@ -254,7 +254,8 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
 
     Each restart runs coordinate sweeps.  After three sweeps whose gains
     each fell by less than a factor 1/NEWTON_GATE, a slow linear rate, it
-    tries one Newton step (_newton_step) and keeps it when it raises <B_n>;
+    tries one Newton step (_newton_step) and keeps it when it raises <B_n>
+    by more than ``tol``, so only a sweep ends a restart as "converged";
     the next try waits for three more sweeps.
     """
     if state.n > 10:
@@ -273,7 +274,7 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
             yield value, None, vectors
             if len(gains) == 3 and min(gains[1] / gains[0], gains[2] / gains[1]) > NEWTON_GATE:
                 gains = []
-                step = _newton_step(corr, vectors, value)
+                step = _newton_step(corr, vectors, value, tol)
                 if step is not None:
                     vectors, value = step
                     yield value, None, vectors

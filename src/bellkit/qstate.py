@@ -344,12 +344,13 @@ def measure_sample(state: PureState, bases, subset: Iterable[int], seed: int) ->
     k = len(meas)
     rest = [i for i in range(n) if i not in meas]
     amp = state.amp.reshape([2] * n).transpose(meas + rest).reshape(-1)
-    basis_rows = {}    # one eigenbasis per distinct direction; product bases repeat one
+    basis_rows, rows = {}, []    # one eigenbasis per distinct direction; product bases repeat one
     for q in meas:
         key = dirs[q].tobytes()
         if key not in basis_rows:
             basis_rows[key] = _eigenbasis_rows(dirs[q])
-    arr = _contract_leading(amp, [basis_rows[dirs[q].tobytes()] for q in meas])
+        rows.append(basis_rows[key])
+    arr = _contract_leading(amp, rows)
     arr = arr.reshape(2 ** (n - k), 2**k)
     probs = _born_distribution((np.abs(arr) ** 2).sum(axis=0))
     # the inverse-CDF draw of Generator.choice(p=probs), without re-validating probs

@@ -115,7 +115,7 @@ class TestFoldDerivatives:
         value = float(_fold(vectors) @ corr)
         norms = [riemannian_gradient_norm(state, vectors)]
         for _ in range(2):
-            step = optimize._newton_step(corr, vectors, value)
+            step = optimize._newton_step(corr, vectors, value, 0.0)
             assert step is not None and step[1] > value
             vectors, value = step
             norms.append(riemannian_gradient_norm(state, vectors))
@@ -163,6 +163,28 @@ class TestMaxViolationSettings:
         res = max_violation_settings(state, restarts=3, seed=3)
         assert res.statuses == ("converged",) * 3
         assert riemannian_gradient_norm(state, res.best_settings.vectors) <= 1e-4
+
+    @pytest.mark.parametrize("seed", [44, 91])
+    def test_only_a_sweep_ends_a_restart_converged(self, seed, monkeypatch):
+        # at these seeds a Newton step kept for any rise gains less than tol
+        # after sweeps that each gained more, and ended a restart "converged"
+        swept = set()
+        sweep = optimize._coordinate_sweep
+
+        def recording_sweep(corr, vectors):
+            out = sweep(corr, vectors)
+            swept.add(out[1])
+            return out
+
+        monkeypatch.setattr(optimize, "_coordinate_sweep", recording_sweep)
+        tol = 1e-9
+        res = max_violation_settings(random_pure(2, np.random.default_rng(seed)),
+                                     restarts=3, tol=tol, seed=seed)
+        for trace, status in zip(res.traces, res.statuses):
+            newton_gains = [b - a for a, b in zip(trace, trace[1:]) if b not in swept]
+            assert all(gain > tol for gain in newton_gains)
+            if status == "converged":
+                assert trace[-1] in swept and trace[-1] - trace[-2] < tol
 
 
 class TestMaxEigenSettings:

@@ -1,21 +1,19 @@
 """Record the benchmark, Tier-1 and verify timings of a checkout in one file.
 
-    python3 tools/bench_record.py --out BENCH_10.json [--runs 3] [--seed 100] [--seconds S]
+    python3 tools/bench_record.py --out BENCH_10.json
 
 From the root of a bellkit checkout this runs, one after another:
 
-* ``--runs`` (at least 3) runs of ``bench/run.py --workload all``, seeds
-  ``--seed``, ``--seed``+1, ...; each end-to-end metric of each workload is
-  kept as the median and quartiles over the runs, with every run's value;
-* one ``--trace 1`` run at ``--seed``, whose per-layer rows are kept as
-  printed;
+* RUNS runs of ``bench/run.py --workload all``, seeds SEED, SEED+1, ...;
+  each end-to-end metric of each workload is kept as the median and
+  quartiles over the runs, with every run's value;
+* one ``--trace 1`` run at SEED, whose per-layer rows are kept as printed;
 * the Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
   with ``src`` on the path): wall time, and the counts pytest reports;
 * ``bellkit verify --fast``: the seconds of each check, read from stderr;
 
 and writes them as JSON with the machine (cores, Python, numpy), the repeat
-count and the line count of ``src/``.  ``--seconds`` is passed on to the
-benchmark; without it the benchmark's own run length applies.
+count and the line count of ``src/``.
 """
 
 from __future__ import annotations
@@ -32,18 +30,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MIN_RUNS = 3
+RUNS = 3       # benchmark repeats; quartiles need at least three
+SEED = 100     # seed of the first benchmark run and of the traced one
 
 
 def run(cmd, env=None) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, env=env, check=False)
 
 
-def bench(seed: int, seconds, trace: int) -> dict:
+def bench(seed: int, trace: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", "all", "--seed", str(seed),
            "--trace", str(trace)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     out = run(cmd)
     if out.returncode != 0:
         sys.exit(f"bench_record: {' '.join(cmd)} exited with {out.returncode}\n{out.stderr}")
@@ -102,26 +99,19 @@ def src_lines() -> int:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_10.json")
-    p.add_argument("--runs", type=int, default=MIN_RUNS)
-    p.add_argument("--seed", type=int, default=100)
-    p.add_argument("--seconds", type=float)
     args = p.parse_args(argv)
-    if args.runs < MIN_RUNS:
-        p.error(f"--runs must be at least {MIN_RUNS}")
-    if args.seconds is not None and not args.seconds > 0:
-        p.error("--seconds must be positive")
 
     import numpy
-    results = [bench(args.seed + i, args.seconds, trace=0) for i in range(args.runs)]
-    traced = bench(args.seed, args.seconds, trace=1)
+    seeds = [SEED + i for i in range(RUNS)]
+    results = [bench(seed, trace=0) for seed in seeds]
+    traced = bench(SEED, trace=1)
     record = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__},
-        "repeats": args.runs,
-        "seeds": [args.seed + i for i in range(args.runs)],
-        "bench_seconds": args.seconds,
+        "repeats": RUNS,
+        "seeds": seeds,
         "end_to_end": end_to_end(results),
-        "per_layer": {name: {"seed": args.seed, "metrics": r["metrics"]}
+        "per_layer": {name: {"seed": SEED, "metrics": r["metrics"]}
                       for name, r in traced["workloads"].items()},
         "tier1": tier1(),
         "verify_fast": verify_fast(),
