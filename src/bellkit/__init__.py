@@ -13,8 +13,7 @@ Library layout:
 
 from .bellop import (Assignment, CorrelatorPoly, Settings, bell_expectation,
                      bell_operator, bound_check, expand_correlators,
-                     f_classical, f_prime, fnm_identity_check,
-                     ghz_optimal_settings, lhv_max)
+                     f_classical, f_prime, ghz_optimal_settings, lhv_max)
 from .certify import (CertResult, certify_depth, estimate_E, example_rho3,
                       thresholds)
 from .criteria import (depolarize, distribute_check, fragility,
@@ -37,7 +36,7 @@ __all__ = [
     "bell_basis", "bell_expectation", "bell_operator", "bound_check",
     "certify_depth", "depolarize", "distribute_check", "embed",
     "embed_vector", "estimate_E", "example_rho3", "expand_correlators",
-    "f_classical", "f_prime", "fnm_identity_check", "fragility", "ghz",
+    "f_classical", "f_prime", "fragility", "ghz",
     "ghz_optimal_settings", "ghz_y_form", "inner", "lhv_max",
     "max_eigen_settings", "max_violation_settings", "measure_sample",
     "mm_partial_residual", "mutual_information", "outcome_distribution",

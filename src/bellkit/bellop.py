@@ -1,35 +1,32 @@
 """Recursive Klyshko correlation polynomial F_n, its multilinear expansion,
 and the matching Hermitian Bell operator B_n.
 
-Every form of F_n comes from one recursion, folded by _fold from the paper's
-base over per-qubit factor pairs (A_j, A_j'):
+The paper's recursion, from (F_1, F_1') = (2 A_1, 2 A_1'),
 
-    (F_1, F_1') = (2 A_1, 2 A_1')
     F_n  = F_{n-1} (x) (A_n + A_n')/2 + F_{n-1}' (x) (A_n - A_n')/2
     F_n' = F_{n-1}' (x) (A_n + A_n')/2 - F_{n-1} (x) (A_n - A_n')/2
 
-where the primed polynomial swaps every a_j with a_j'.  The factor pairs
-choose the algebra:
+(the primed polynomial swaps every a_j with a_j') closes on G = F_n + i F_n':
+G_n = G_{n-1} (x) ((1-i) A_n + (1+i) A_n')/2 with G_1 = 2 (A_1 + i A_1').  So
+G is one Kronecker product, G = z_1 (x) ... (x) z_n with per-qubit factors
+z_j = c_j0 A_j + c_j1 A_j', c_1 = (2, 2i) and c_j = ((1-i)/2, (1+i)/2) for
+j >= 2 (_factors).  _fold builds G; the factor pairs choose the algebra, and
+each caller takes what it needs from G:
 
-    Pauli matrices (a_j.sigma, a_j'.sigma)   the dense operator B_n
-    the 3-vectors (a_j, a_j')                 Pauli weights W_n, <B_n> = W_n . T
-    unit pair (e_0, e_1)                      the 2^n correlator coefficients
-    +-1 pair ([1,1,-1,-1], [1,-1,1,-1])       F_n on all 4^n assignments
+    Pauli matrices (a_j.sigma, a_j'.sigma)   B_n = (G + G^dagger)/2
+    the 3-vectors (a_j, a_j')                 Pauli weights W_n = Re G, <B_n> = W_n . T
+    unit pair (e_0, e_1)                      the 2^n correlator coefficients, Re G
+    +-1 pair ([1,1,-1,-1], [1,-1,1,-1])       F_n = Re G and F_n' = Im G on all 4^n
+                                              assignments
 
-The coefficients are dyadic rationals and the assignment values small
-integers, so both tables are exact in float64.
-
-G = F_n + i F_n' obeys G_n = G_{n-1} (x) ((1-i) A_n + (1+i) A_n')/2 with
-G_1 = 2 (A_1 + i A_1'), so the recursion has a rank-one form: with
-z_1 = 2 (a_1 + i a_1') and z_j = ((1-i) a_j + (1+i) a_j')/2 for j >= 2
-(_rank_one_factors), W_n = Re(z_1 (x) ... (x) z_n) and
-B_n = (G + G^dagger)/2 with G = (z_1.sigma) (x) ... (x) (z_n.sigma).
-<B_n> = W_n . T is then linear in each z_j, which gives the optimizers the
-exact gradient and Hessian of <B_n> in the settings.  Deterministic
-+-1 assignments can never push F_n above 2, while B_n satisfies
-B_n^2 <= 2^(n+1) and reaches eigenvalue 2^((n+1)/2) at the GHZ states, an
-exponentially growing gap that powers the entanglement-depth certificates in
-:mod:`bellkit.certify`.
+On the +-1 pairs every factor is 2(+-1 +- i) or one of +-1, +-i, and on the
+unit pair a dyadic rational, so both tables are exact in float64.
+<B_n> = W_n . T is linear in each z_j, which gives the optimizers closed-form
+coordinate updates and the exact gradient and Hessian of <B_n> in the
+settings.  Deterministic +-1 assignments can never push F_n above 2, while
+B_n satisfies B_n^2 <= 2^(n+1) and reaches eigenvalue 2^((n+1)/2) at the GHZ
+states, an exponentially growing gap that powers the entanglement-depth
+certificates in :mod:`bellkit.certify`.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -130,62 +127,51 @@ class Assignment:
     def swapped(self) -> "Assignment":
         return Assignment(tuple((ap, a) for a, ap in self.values))
 
-    def sub(self, start: int, stop: int) -> "Assignment":
-        """Assignment restricted to qubits start..stop (1-based, inclusive)."""
-        return Assignment(self.values[start - 1:stop])
 
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "Assignment":
-        vals = rng.integers(0, 2, size=(n, 2)) * 2 - 1
-        return cls(tuple((int(a), int(ap)) for a, ap in vals))
-
-
-def _f_pair(asg: Assignment) -> tuple[int, int]:
-    """(F_n, F_n') by the joint recursion; every intermediate is an integer."""
-    (a1, a1p) = asg.values[0]
-    f, fp = 2 * a1, 2 * a1p
-    for a, ap in asg.values[1:]:
-        f, fp = ((a + ap) * f + (a - ap) * fp) // 2, \
-                ((a + ap) * fp - (a - ap) * f) // 2
-    return f, fp
-
-
-def f_classical(asg: Assignment) -> int:
-    """Exact F_n; |result| <= 2 for every deterministic assignment."""
-    return _f_pair(asg)[0]
-
-
-def f_prime(asg: Assignment) -> int:
-    """F_n with all primed and unprimed values exchanged; an involution."""
-    return _f_pair(asg)[1]
-
-
-def _lift_step(f, fp, a, ap):
-    """One step of the F_n recursion on factors np.kron handles (vectors or
-    matrices): (F, F') -> (F (x) p + F' (x) m, F' (x) p - F (x) m) with
-    p = (a+a')/2, m = (a-a')/2."""
-    p, m = 0.5 * (a + ap), 0.5 * (a - ap)
-    return np.kron(f, p) + np.kron(fp, m), np.kron(fp, p) - np.kron(f, m)
+def _factors(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(z, c): the factors z[j] = c[j, 0] A_j + c[j, 1] A_j' of G for factor
+    pairs of shape (n, 2, ...), and their weights c."""
+    pairs = np.asarray(pairs)
+    c = np.empty((pairs.shape[0], 2), dtype=complex)
+    c[0] = 2, 2j
+    c[1:] = (1 - 1j) / 2, (1 + 1j) / 2
+    return np.einsum("jx,jx...->j...", c, pairs), c
 
 
 def _fold(pairs) -> np.ndarray:
-    """F_n from the per-qubit factor pairs (A_j, A_j'), j = 1..n: _lift_step
-    folded over qubits 2..n from (F_1, F_1') = (2 A_1, 2 A_1')."""
-    f, fp = 2 * pairs[0][0], 2 * pairs[0][1]
-    for a, ap in pairs[1:]:
-        f, fp = _lift_step(f, fp, a, ap)
-    return f
+    """G = F_n + i F_n' = z_1 (x) ... (x) z_n from the factor pairs
+    (A_j, A_j'), j = 1..n."""
+    return reduce(np.kron, _factors(pairs)[0])
+
+
+def _assignment_table(n: int) -> np.ndarray:
+    """G on all 4^n deterministic assignments, qubit 1 most significant and
+    each qubit's (a, a') ordered (1, 1), (1, -1), (-1, 1), (-1, -1); every
+    entry is a Gaussian integer, exact in float64."""
+    if not 1 <= n <= MAX_ENUM_QUBITS:
+        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_QUBITS}")
+    return _fold([(np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))] * n)
+
+
+def _g(asg: Assignment) -> complex:
+    """G = F_n + i F_n' at one assignment."""
+    return complex(_fold(np.array(asg.values)[..., None])[0])
+
+
+def f_classical(asg: Assignment) -> int:
+    """Exact F_n = Re G; |result| <= 2 for every deterministic assignment."""
+    return int(_g(asg).real)
+
+
+def f_prime(asg: Assignment) -> int:
+    """F_n with all primed and unprimed values exchanged, Im G; an involution."""
+    return int(_g(asg).imag)
 
 
 def lhv_max(n: int) -> int:
-    """Exact max of F_n over all 4^n deterministic assignments (equals 2).
-
-    The fold over one qubit's four (a, a') assignments tabulates F_n on all of
-    them; every entry is a small integer, exact in float64.
-    """
-    if not 1 <= n <= MAX_ENUM_QUBITS:
-        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_QUBITS}")
-    return int(_fold([(np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))] * n).max())
+    """Exact max of F_n = Re G over all 4^n deterministic assignments
+    (equals 2), read from the exact table of _assignment_table."""
+    return int(_assignment_table(n).real.max())
 
 
 @dataclass(frozen=True)
@@ -217,32 +203,27 @@ class CorrelatorPoly:
 def expand_correlators(n: int) -> CorrelatorPoly:
     """Exact expansion of F_n over choice strings, computed once per n.
 
-    The fold over the unit pair (e_0, e_1) gives the 2^n coefficients indexed
+    Re G over the unit pair (e_0, e_1) gives the 2^n coefficients indexed
     by choice string (qubit 1 most significant); they are dyadic rationals,
     exact in float64, and the nonzero ones become Fractions in sorted order.
     """
     if not 1 <= n <= 14:
         raise ValueError("expansion supports 1 <= n <= 14")
-    table = _fold([np.eye(2)] * n).tolist()
+    table = _fold([np.eye(2)] * n).real.tolist()
     return CorrelatorPoly(n, {choice: Fraction(v) for choice, v
                               in zip(itertools.product((0, 1), repeat=n), table) if v})
 
 
-def _rank_one_factors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z, c): complex per-qubit factors z[j] = c[j, 0] a_j + c[j, 1] a_j'
-    with _fold(vectors) = Re(z[0] (x) ... (x) z[n-1]), and their weights c."""
-    c = np.empty((vectors.shape[0], 2), dtype=complex)
-    c[0] = 2, 2j
-    c[1:] = (1 - 1j) / 2, (1 + 1j) / 2
-    return np.einsum("jx,jxk->jk", c, vectors), c
-
-
 def _operator(vectors: np.ndarray) -> np.ndarray:
-    """Dense B_n for arbitrary (possibly non-unit) 3-vectors: the fold over
-    the pairs (a_j.sigma, a_j'.sigma).  Multilinear in each direction, which
-    the optimizers in :mod:`bellkit.optimize` exploit."""
+    """Dense B_n = (G + G^dagger)/2 for arbitrary (possibly non-unit)
+    3-vectors, with G folded over the pairs (a_j.sigma, a_j'.sigma).
+    Multilinear in each direction, which the optimizers in
+    :mod:`bellkit.optimize` exploit."""
     v = vectors[..., None, None]
-    return _fold(v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z)
+    g = _fold(v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z)
+    g += g.conj().T
+    g *= 0.5
+    return g
 
 
 # Row mu holds sigma_mu[j, i] at the interleaved index 2i + j, so that a row
@@ -253,7 +234,7 @@ _PAULI_TRACE_ROWS = np.array([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)])
 def _correlation_tensor(state: State) -> np.ndarray:
     """Full-weight Pauli correlations T[mu_1..mu_n] = tr(rho sigma_mu1 (x) ...
     (x) sigma_mun), flattened with qubit 1 most significant (3^n real
-    entries).  <B_n> = W_n . T with the Pauli weights W_n = _fold(vectors)
+    entries).  <B_n> = W_n . T with the Pauli weights W_n = Re _fold(vectors)
     is linear in T, so one T serves every setting."""
     rho = np.outer(state.amp, state.amp.conj()) if isinstance(state, PureState) else state.mat
     return _contract_pairs(rho, [_PAULI_TRACE_ROWS] * state.n)
@@ -293,32 +274,6 @@ def bound_check(st: Settings) -> BoundCheck:
     lam_sq = float(np.max(w**2))
     bound = 2.0 ** (st.n + 1)
     return BoundCheck(lam_sq, bound, lam_sq <= bound + BOUND_SLACK)
-
-
-def fnm_identity_check(n: int, m: int, trials: int, seed: int) -> Fraction:
-    """Max absolute deviation, over random assignments, of
-
-        F_n  vs  (F_{n-m} + F_{n-m}') F_m / 4 + (F_{n-m} - F_{n-m}') F_m' / 4
-
-    with F_{n-m} on the first n-m qubits and F_m on the last m.  Both sides
-    are evaluated exactly; the identity holds, so the deviation is 0.
-    """
-    if not 1 <= m < n <= MAX_OPERATOR_QUBITS:
-        raise ValueError(f"need 1 <= m < n <= {MAX_OPERATOR_QUBITS}")
-    rng = np.random.default_rng(seed)
-    worst = Fraction(0)
-    for _ in range(trials):
-        asg = Assignment.random(n, rng)
-        lhs = f_classical(asg)
-        head = asg.sub(1, n - m)
-        tail = asg.sub(n - m + 1, n)
-        fa, fap = _f_pair(head)
-        fb, fbp = _f_pair(tail)
-        rhs = Fraction((fa + fap) * fb + (fa - fap) * fbp, 4)
-        dev = abs(Fraction(lhs) - rhs)
-        if dev > worst:
-            worst = dev
-    return worst
 
 
 def ghz_optimal_settings(n: int) -> Settings:

@@ -10,9 +10,10 @@ Commands:
     verify     run the whole verification battery and print a pass/fail table
 
 Every command echoes the configuration it resolved, and only the keys it
-reads, inside the JSON output; re-running that configuration reproduces the
-output byte for byte.  A config-file key the command does not read is a
-usage error.
+reads in its mode (certify with or without --estimate, criteria per
+--which), inside the JSON output; re-running that configuration reproduces
+the output byte for byte.  A key the command does not read in its mode, on
+a config-file line or a flag, is a usage error.
 Exit codes: 0 success, 1 a property check failed, 2 usage error.
 """
 
@@ -55,20 +56,33 @@ _CONFIG_TYPES = {"n": int, "seed": int, "restarts": int, "shots": int,
                  "trials": int, "which": str, "to": str}
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _resolve(args: argparse.Namespace, defaults: dict, mode=None) -> dict:
     """defaults < config file < explicit flags, over the keys the command
-    reads: those of ``defaults`` (None where there is no default) plus out
-    and format.  A config-file key outside them is a usage error."""
-    merged = {"out": None, "format": "json", **defaults}
-    if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
-            if key not in merged:
-                raise ValueError(f"{args.command} does not read config key {key!r}")
-            merged[key] = _CONFIG_TYPES[key](val)
-    for key in merged:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+    reads: those of ``defaults`` (None where there is no default), out and
+    format, and, when they depend on a resolved option, those of
+    ``mode(opts)``.  A config-file key or flag outside them is a usage
+    error."""
+    config = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    merged: dict = {}
+
+    def merge(keys: dict) -> None:
+        for key, default in keys.items():
+            if getattr(args, key, None) is not None:
+                merged[key] = getattr(args, key)
+            elif key in config:
+                merged[key] = _CONFIG_TYPES[key](config[key])
+            else:
+                merged[key] = default
+
+    merge({"out": None, "format": "json", **defaults})
+    if mode is not None:
+        merge(mode(merged))
+    for key in config:
+        if key not in merged:
+            raise ValueError(f"{args.command} does not read config key {key!r}")
+    for key in _CONFIG_TYPES:
+        if key not in merged and getattr(args, key, None) is not None:
+            raise ValueError(f"{args.command} does not read --{key} in this mode")
     if merged["format"] not in args.formats:
         raise ValueError(f"{args.command} writes --format {' or '.join(args.formats)}, "
                          f"not {merged['format']!r}")
@@ -117,10 +131,12 @@ def _cmd_bellmax(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    opts = _resolve(args, {"n": None, "seed": DEFAULT_SEED, "shots": DEFAULT_SHOTS,
-                           "state": None, "settings": None, "E": None, "epsilon": None})
-    n = opts["n"]
     estimate_mode = bool(getattr(args, "estimate", False))
+    if estimate_mode:
+        keys = {"seed": DEFAULT_SEED, "shots": DEFAULT_SHOTS, "state": None, "settings": None}
+    else:
+        keys = {"n": None, "E": None}
+    opts = _resolve(args, {**keys, "epsilon": None})
     echo = _config_echo(args, opts, {"estimate": estimate_mode or None})
     try:
         if estimate_mode:
@@ -138,7 +154,7 @@ def _cmd_certify(args) -> int:
                        "estimate": {"E": est.value, "stderr": est.stderr},
                        "certificate": result.to_json()}
         else:
-            value = opts["E"]
+            n, value = opts["n"], opts["E"]
             if n is None or value is None:
                 print("exact mode needs --n and --E", file=sys.stderr)
                 return EXIT_USAGE
@@ -159,9 +175,19 @@ def _cmd_certify(args) -> int:
     return EXIT_OK
 
 
+_CRITERIA_KEYS = {"fragility": {"state": None}, "mutinfo": {"state": None},
+                  "mm": {"state": None},
+                  "distribute": {"n": None, "k": None, "trials": None, "seed": DEFAULT_SEED}}
+
+
+def _criteria_keys(opts: dict) -> dict:
+    if opts["which"] not in _CRITERIA_KEYS:
+        raise ValueError(f"--which must be {'|'.join(_CRITERIA_KEYS)}")
+    return _CRITERIA_KEYS[opts["which"]]
+
+
 def _cmd_criteria(args) -> int:
-    opts = _resolve(args, {"n": None, "k": None, "trials": None, "seed": DEFAULT_SEED,
-                           "state": None, "which": None})
+    opts = _resolve(args, {"which": None}, mode=_criteria_keys)
     which = opts["which"]
     echo = _config_echo(args, opts)
     try:
@@ -183,7 +209,7 @@ def _cmd_criteria(args) -> int:
             body = {"m": rep.m, "residual": rep.residual,
                     "observed": list(map(float, rep.observed)),
                     "target": list(map(float, rep.target))}
-        elif which == "distribute":
+        else:
             n, k = opts["n"], opts["k"]
             if n is None or k is None:
                 print("distribute needs --n and --k", file=sys.stderr)
@@ -197,9 +223,6 @@ def _cmd_criteria(args) -> int:
             if not rep.passed:
                 _emit({"config": echo, "report": body}, opts["out"], opts["format"])
                 return EXIT_CHECK_FAILED
-        else:
-            print("--which must be fragility|mutinfo|mm|distribute", file=sys.stderr)
-            return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE

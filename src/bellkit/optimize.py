@@ -4,20 +4,20 @@ linear in a_j (or a_j'), so the optimal update is the normalized coefficient
 3-vector in closed form.  Multi-start coordinate ascent then handles the
 outer non-convexity.
 
-The settings sweeps never build a dense operator.  <B_n> = W_n . T is linear
-in the state's 3^n-entry Pauli correlation tensor T, with weights W_n from the
-F_n recursion lifted to vectors; a sweep builds the right environments of the
-qubits not yet visited, carries the left weights of the qubits already
-updated, and reads the coefficients of a_j and a_j' from one contraction of T
-per qubit.  T is built once per state.  Dense operators remain only for the
-eigenvalue steps and for re-verifying every reported optimum.
+The settings sweeps never build a dense operator.  <B_n> = Re G . T is linear
+in the state's 3^n-entry Pauli correlation tensor T and in each factor z_j of
+G = z_1 (x) ... (x) z_n (bellop._fold over the 3-vectors).  A sweep carries
+the contraction of T with the factors already updated (a prefix) and the
+Kronecker products of the factors not yet visited (suffixes, built once per
+sweep), and reads the coefficients of a_j and a_j' from their product, in
+O(3^n) per sweep.  T is built once per state.  Dense operators remain only
+for the eigenvalue steps and for re-verifying every reported optimum.
 
 Coordinate ascent converges linearly, and on generic states slowly.  When
 max_violation_settings sees its sweep gains shrink by less than
 NEWTON_GATE per sweep over three sweeps, it tries one Riemannian Newton
 step on the 2n unit spheres of the settings.  Its gradient and Hessian are
-exact and cheap because <B_n> = Re(z_1 (x) ... (x) z_n) . T is linear in
-each per-qubit factor z_j (the rank-one form of bellop._rank_one_factors).
+exact and cheap for the same reason: <B_n> is linear in each z_j.
 
 Every optimizer runs through one multi-start driver, _multistart, and keeps
 only its per-restart step generator and its re-verification.  The driver
@@ -39,8 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria, symstate
-from .bellop import (Settings, _correlation_tensor, _fold, _lift_step, _operator,
-                     _rank_one_factors, bell_expectation)
+from .bellop import (Settings, _correlation_tensor, _factors, _fold, _operator,
+                     bell_expectation)
 from .qstate import PureState, State, child_rng
 
 BACKTRACK_FACTOR = 0.5    # line-search shrink factor
@@ -98,42 +98,45 @@ def _random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=2, keepdims=True)
 
 
+def _suffixes(z: np.ndarray) -> list:
+    """suffix[k]: the factors z of the last k qubits, Kronecker-multiplied,
+    for k = 0..n-1."""
+    suffix = [np.ones(1)]
+    for zk in z[:0:-1]:
+        suffix.append(np.kron(zk, suffix[-1]))
+    return suffix
+
+
 def _coordinate_sweep(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:
     """One pass of closed-form updates over all 2n direction vectors, given
     the state's correlation tensor ``corr``.
 
-    At qubit j, with left weights (W, W') over the updated qubits 1..j-1 and
-    right environments (R0, R1) over the unvisited qubits j+1..n,
-    C_xy = left_x . T . right_y gives u = C00 + C11 and v = C10 - C01, and
-    <B> = a_j.(u+v)/2 + a_j'.(u-v)/2.  Each coefficient g is free of both
-    a_j and a_j', so the maximizing unit vectors g/|g| are set together.
+    At qubit j, E_j is T contracted with the updated z_1..z_{j-1} (the
+    prefix) and with the Kronecker product of the old z_{j+1}..z_n (a
+    suffix), so <B> = Re(z_j . E_j) = Re(c_j0 E_j) . a_j + Re(c_j1 E_j) . a_j'.
+    Each coefficient g is free of both a_j and a_j', so the maximizing unit
+    vectors g/|g| are set together, and the prefix then takes the new z_j.
     Never decreases the objective.
     """
     n = vectors.shape[0]
     vectors = vectors.copy()
-    rights = [(np.ones(1), np.zeros(1))]    # rights[k]: environment of the last k qubits
-    for a, ap in vectors[:0:-1]:
-        p, m = 0.5 * (a + ap), 0.5 * (a - ap)
-        r0, r1 = rights[-1]
-        rights.append((np.kron(p, r0) - np.kron(m, r1), np.kron(m, r0) + np.kron(p, r1)))
-    w = wp = np.full(1, 2.0)    # weights of the empty prefix; lifting a_1 gives 2 a_1
+    z, c = _factors(vectors)
+    suffix = _suffixes(z)
+    prefix = corr
     for j in range(n):
-        right = np.stack(rights[n - 1 - j])
-        left = np.stack([w, wp]) @ corr.reshape(w.size, -1)
-        c = left.reshape(2, 3, right.shape[1]) @ right.T    # c[x, :, y] = C_xy
-        u, v = c[0, :, 0] + c[1, :, 1], c[1, :, 0] - c[0, :, 1]
-        g = np.stack([0.5 * (u + v), 0.5 * (u - v)])
+        rest = prefix.reshape(3, -1)    # axes j..n-1 of T, qubits before j contracted
+        g = (c[j, :, None] * (rest @ suffix[n - 1 - j])).real
         for which in (0, 1):
             norm = float(np.linalg.norm(g[which]))
             if norm > 1e-14:
                 vectors[j, which] = g[which] / norm
-        w, wp = _lift_step(w, wp, vectors[j, 0], vectors[j, 1])
+        prefix = (c[j] @ vectors[j]) @ rest
     return vectors, float(np.sum(g * vectors[-1]))
 
 
 def _fold_derivatives(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient (n, 2, 3) and Hessian (n, 2, 3, n, 2, 3) of
-    f = _fold(vectors) . corr with respect to the direction vectors.
+    f = Re _fold(vectors) . corr with respect to the direction vectors.
 
     With f = Re(z_1 (x) ... (x) z_n) . T and z_j = c_j0 a_j + c_j1 a_j', the
     gradient in a_j (a_j') is Re(c_j0 E_j) (Re(c_j1 E_j)), where E_j is T
@@ -144,10 +147,8 @@ def _fold_derivatives(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     E_j and E_jk without a 6^n tensor.
     """
     n = vectors.shape[0]
-    z, c = _rank_one_factors(vectors)
-    suffix = [np.ones(1)]    # suffix[k]: z of the last k qubits, Kronecker-multiplied
-    for zk in z[:0:-1]:
-        suffix.append(np.kron(zk, suffix[-1]))
+    z, c = _factors(vectors)
+    suffix = _suffixes(z)
     single = np.empty((n, 3), dtype=complex)
     pair = np.zeros((n, n, 3, 3), dtype=complex)
     prefix = corr
@@ -165,7 +166,7 @@ def _fold_derivatives(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
 
 
 def _newton_step(corr: np.ndarray, vectors: np.ndarray, value: float, min_rise: float):
-    """One Riemannian Newton step for f = _fold(vectors) . corr on the 2n unit
+    """One Riemannian Newton step for f = Re _fold(vectors) . corr on the 2n unit
     spheres of the settings: (vectors, f) after the step, or None when no
     tried shift raises f above ``value`` by more than ``min_rise``.
 
@@ -194,7 +195,7 @@ def _newton_step(corr: np.ndarray, vectors: np.ndarray, value: float, min_rise: 
         shift = max(lam[-1], 0.0) + size * 10.0**k
         moved = x + (vec @ (coef / (shift - lam))).reshape(n2, 3)
         moved = (moved / np.linalg.norm(moved, axis=1, keepdims=True)).reshape(vectors.shape)
-        moved_value = float(_fold(moved) @ corr)
+        moved_value = float(_fold(moved).real @ corr)
         if moved_value - value > min_rise:
             return moved, moved_value
     return None
@@ -264,7 +265,7 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
 
     def ascent(rng):
         vectors = _random_unit_vectors(rng, state.n)
-        value = float(_fold(vectors) @ corr)
+        value = float(_fold(vectors).real @ corr)
         yield value, None, vectors
         gains = []
         while True:
@@ -350,7 +351,7 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
         while True:
             state = PureState(n, reduce(np.kron, singles, block))
             corr = _correlation_tensor(state)
-            yield float(_fold(vectors) @ corr), None, (vectors, state)
+            yield float(_fold(vectors).real @ corr), None, (vectors, state)
             vectors, _ = _coordinate_sweep(corr, vectors)
             b = _operator(vectors)
             fixed = [((q,), s) for q, s in zip(single_qubits, singles)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -133,19 +132,23 @@ def check_independent_subset_bound(fast: bool = False, seed: int = DEFAULT_SEED)
 
 
 @_timed
-def check_f_decomposition(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
-    """F_n = ((F_{n-m}+F'_{n-m}) F_m + (F_{n-m}-F'_{n-m}) F'_m) / 4 exactly."""
+def check_f_decomposition(fast: bool = False) -> CheckResult:
+    """F_n = ((F_{n-m}+F'_{n-m}) F_m + (F_{n-m}-F'_{n-m}) F'_m) / 4 exactly
+    on every assignment: F = Re G and F' = Im G read from the exact tables
+    of G, head on the first n-m qubits, so F_n's table is head-major."""
     top = 6 if fast else 10
-    trials = 100 if fast else 1000
-    worst = Fraction(0)
+    tables = {n: bellop._assignment_table(n) for n in range(1, top + 1)}
+    worst = 0.0
     for n in range(2, top + 1):
         for m in range(1, n):
-            dev = bellop.fnm_identity_check(n, m, trials, seed + n * 100 + m)
-            worst = max(worst, dev)
+            head, tail = tables[n - m], tables[m]
+            rhs = (np.outer(head.real + head.imag, tail.real)
+                   + np.outer(head.real - head.imag, tail.imag)) / 4
+            worst = max(worst, float(np.max(np.abs(tables[n].real.reshape(rhs.shape) - rhs))))
     return CheckResult(
         "f-decomposition",
-        f"split identity exact over {trials} random assignments, all m < n <= {top}",
-        worst == 0, {"max_deviation": str(worst)})
+        f"split identity exact on all 4^n assignments, all m < n <= {top}",
+        worst == 0, {"max_deviation": worst})
 
 
 @_timed

@@ -45,7 +45,7 @@ def test_05_independent_subset_bound():
 
 
 def test_06_f_decomposition_exact():
-    # exact zero deviation over 1000 random assignments, all 1 <= m < n <= 10
+    # exact zero deviation on all 4^n assignments, all 1 <= m < n <= 10
     _report(verification.check_f_decomposition(fast=False))
 
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from bellkit import bellop, optimize
 from bellkit.bellop import (Assignment, Settings, bell_expectation,
                             bell_operator, bound_check, expand_correlators,
-                            f_classical, f_prime, fnm_identity_check,
-                            ghz_optimal_settings, lhv_max)
+                            f_classical, f_prime, ghz_optimal_settings, lhv_max)
 from bellkit.qstate import PAULI_X, PAULI_Y, PAULI_Z, PureState, pauli_dot
 
 from conftest import (ghz_pure, kron_chain_operator, random_density, random_pure,
@@ -87,12 +86,15 @@ def fraction_expansion(n: int) -> dict:
     return coeffs
 
 
-def dp_lhv_table(n: int) -> np.ndarray:
+def dp_lhv_table(n: int, swapped: bool = False) -> np.ndarray:
     """Reference: F_n on all 4^n assignments by an int64 dynamic program over
     the joint (F_k, F_k') recursion, qubit 1 most significant and each
-    qubit's (a, a') ordered (1, 1), (1, -1), (-1, 1), (-1, -1)."""
+    qubit's (a, a') ordered (1, 1), (1, -1), (-1, 1), (-1, -1); with
+    ``swapped`` every a_j and a_j' trade places, which gives F_n'."""
     a = np.array([1, 1, -1, -1], dtype=np.int64)
     ap = np.array([1, -1, 1, -1], dtype=np.int64)
+    if swapped:
+        a, ap = ap, a
     f, fp = 2 * a, 2 * ap
     plus, minus = a + ap, a - ap
     for _ in range(n - 1):
@@ -106,17 +108,24 @@ ONE_QUBIT_ASSIGNMENTS = (np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))
 
 
 def assignment_table(n: int, primed: bool = False) -> np.ndarray:
-    """F_n (or F_n') on all 4^n assignments, from the fold."""
-    a, ap = ONE_QUBIT_ASSIGNMENTS
-    return bellop._fold([(ap, a) if primed else (a, ap)] * n)
+    """F_n = Re G (or F_n' = Im G) on all 4^n assignments, from the fold."""
+    g = bellop._fold([ONE_QUBIT_ASSIGNMENTS] * n)
+    return g.imag if primed else g.real
+
+
+def random_assignment(n: int, rng: np.random.Generator) -> Assignment:
+    return Assignment(tuple(map(tuple, rng.integers(0, 2, size=(n, 2)) * 2 - 1)))
 
 
 class TestFold:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_operator_equals_kron_chain(self, n, rng):
+        # the fold and the chain sum the same polynomial in different orders
         for _ in range(3 if n <= 8 else 1):
             vectors = random_unit_vectors(n, rng)
-            assert np.array_equal(bell_operator(Settings(vectors)), kron_chain_operator(vectors))
+            want = kron_chain_operator(vectors)
+            got = bell_operator(Settings(vectors))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_expansion_equals_fraction_recursion(self, n):
@@ -128,8 +137,10 @@ class TestFold:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_lhv_table_equals_dynamic_program(self, n):
+        # Re G and Im G on the +-1 pairs are F_n and F_n', exact in float64
         reference = dp_lhv_table(n)
         assert np.array_equal(assignment_table(n), reference)
+        assert np.array_equal(assignment_table(n, primed=True), dp_lhv_table(n, swapped=True))
         assert lhv_max(n) == reference.max() == 2
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -241,7 +252,7 @@ class TestExpandCorrelators:
         poly = expand_correlators(n)
         rng = np.random.default_rng(5 + n)
         for _ in range(100):
-            asg = Assignment.random(n, rng)
+            asg = random_assignment(n, rng)
             assert evaluate_poly(poly, asg) == f_classical(asg)
 
 
@@ -331,7 +342,7 @@ class TestBellExpectation:
         rng = np.random.default_rng(seed)
         state = random_density(n, rng) if mixed else random_pure(n, rng)
         vectors = random_unit_vectors(n, rng)
-        via_tensor = bellop._fold(vectors) @ bellop._correlation_tensor(state)
+        via_tensor = bellop._fold(vectors).real @ bellop._correlation_tensor(state)
         assert via_tensor == pytest.approx(bell_expectation(state, Settings(vectors)), abs=1e-10)
 
     def test_dimension_mismatch(self):
@@ -339,24 +350,38 @@ class TestBellExpectation:
             bell_expectation(ghz_pure(2), ghz_optimal_settings(3))
 
 
+def two_chain_weights(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the Pauli weights (W_n, W_n') by the paper's two-chain
+    recursion over 3-vectors, W_n = W_{n-1} (x) (a_n + a_n')/2
+    + W_{n-1}' (x) (a_n - a_n')/2 and W_n' = W_{n-1}' (x) (a_n + a_n')/2
+    - W_{n-1} (x) (a_n - a_n')/2, from (2 a_1, 2 a_1')."""
+    w, wp = 2 * vectors[0, 0], 2 * vectors[0, 1]
+    for a, ap in vectors[1:]:
+        p, m = (a + ap) / 2, (a - ap) / 2
+        w, wp = np.kron(w, p) + np.kron(wp, m), np.kron(wp, p) - np.kron(w, m)
+    return w, wp
+
+
 class TestRankOneForm:
-    """W_n = Re(z_1 (x) ... (x) z_n) and B_n = (G + G^dagger)/2, with
-    G = (z_1.sigma) (x) ... (x) (z_n.sigma), for arbitrary 3-vectors."""
+    """G = F_n + i F_n' = z_1 (x) ... (x) z_n with z_1 = 2 (a_1 + i a_1') and
+    z_j = ((1-i) a_j + (1+i) a_j')/2, and B_n = (G + G^dagger)/2 over the
+    factors z_j.sigma, for arbitrary 3-vectors."""
 
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_weights_are_real_part_of_product(self, n, seed):
         vectors = np.random.default_rng(seed).normal(size=(n, 2, 3))
-        z, _ = bellop._rank_one_factors(vectors)
-        weights = bellop._fold(vectors)
-        scale = max(1.0, float(np.max(np.abs(weights))))
-        assert np.max(np.abs(weights - reduce(np.kron, z).real)) <= 1e-13 * scale
+        g = bellop._fold(vectors)
+        for got, want in zip((g.real, g.imag), two_chain_weights(vectors)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_operator_is_hermitian_part_of_product(self, n, seed):
         vectors = np.random.default_rng(seed).normal(size=(n, 2, 3))
-        z, _ = bellop._rank_one_factors(vectors)
+        z = [2 * (vectors[0, 0] + 1j * vectors[0, 1])]
+        z += [((1 - 1j) * a + (1 + 1j) * ap) / 2 for a, ap in vectors[1:]]
         g = reduce(np.kron, [zj[0] * PAULI_X + zj[1] * PAULI_Y + zj[2] * PAULI_Z for zj in z])
         b = bellop._operator(vectors)
         scale = max(1.0, float(np.max(np.abs(b))))
@@ -383,7 +408,7 @@ class TestPaperBounds:
         corr = bellop._correlation_tensor(state)
         cap = 2 ** ((n - m + 1) / 2) + bellop.BOUND_SLACK
         vectors = random_unit_vectors(n, rng)
-        assert bellop._fold(vectors) @ corr <= cap
+        assert bellop._fold(vectors).real @ corr <= cap
         for _ in range(4):    # sweeps push the settings toward this state's maximum
             vectors, value = optimize._coordinate_sweep(corr, vectors)
             assert value <= cap
@@ -415,19 +440,6 @@ class TestBoundCheck:
         assert res.lambda_max_sq <= 2**n + 1e-8
 
 
-class TestFnmIdentity:
-    def test_m_one_is_definition(self):
-        assert fnm_identity_check(3, 1, 200, seed=1) == 0
-
-    @pytest.mark.parametrize("n,m", [(6, 3), (12, 5)])
-    def test_exact_zero_deviation(self, n, m):
-        assert fnm_identity_check(n, m, 1000, seed=2) == 0
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            fnm_identity_check(3, 3, 10, seed=0)
-
-
 def two_sign_ghz_settings(n: int) -> Settings:
     """Reference: build the settings for both perpendicular signs, evaluate
     each on the GHZ state and keep the better one (a tie keeps +1).  <B_n> is
@@ -445,7 +457,7 @@ def two_sign_ghz_settings(n: int) -> Settings:
             phi = (j - 1) * ((-1) ** (n + 1)) * np.pi / (2 * n)
             vecs.append((xy(phi), xy(phi + sign * np.pi / 2)))
         st_ = Settings.from_pairs(vecs)
-        val = float(bellop._fold(st_.vectors) @ corr)
+        val = float(bellop._fold(st_.vectors).real @ corr)
         if val > best_val:
             best, best_val = st_, val
     assert best_val == pytest.approx(2 ** ((n + 1) / 2), abs=1e-9)

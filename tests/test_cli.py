@@ -358,7 +358,10 @@ class TestConfigFile:
                                            (("bellbasis", "--n", "2"), "restarts = 3"),
                                            (("bellmax", "--n", "2"), "shots = 10"),
                                            (("certify", "--n", "3", "--E", "2.5"), "tol = 1e-6"),
-                                           (("verify",), "n = 3")])
+                                           (("verify",), "n = 3"),
+                                           (("certify", "--n", "3", "--E", "2.5"), "seed = 5"),
+                                           (("criteria", "--which", "mm", "--state", "s.json"),
+                                            "seed = 5")])
     def test_key_the_command_does_not_read_rejected(self, capsys, tmp_path, monkeypatch,
                                                     argv, line):
         monkeypatch.setattr(optimize, "max_eigen_settings", fail_if_called)
@@ -373,14 +376,48 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv,keys", [
         (("basis", "--n", "2"), {"command", "format", "n", "to"}),
         (("bellbasis", "--n", "2"), {"command", "format", "n"}),
-        (("certify", "--n", "3", "--E", "2.5"), {"command", "format", "n", "E", "seed", "shots"}),
+        (("certify", "--n", "3", "--E", "2.5"), {"command", "format", "n", "E"}),
         (("bellmax", "--n", "2", "--restarts", "2"),
          {"command", "format", "n", "restarts", "seed", "tol"}),
+        (("criteria", "--which", "mm", "--state", "sym.json"),
+         {"command", "format", "which", "state"}),
+        (("criteria", "--which", "distribute", "--n", "3", "--k", "1", "--trials", "2"),
+         {"command", "format", "which", "n", "k", "trials", "seed"}),
     ])
-    def test_echo_holds_only_the_keys_read(self, capsys, argv, keys):
+    def test_echo_holds_only_the_keys_read(self, capsys, tmp_path, monkeypatch, argv, keys):
+        monkeypatch.chdir(tmp_path)
+        symstate.save_sym("sym.json", symstate.ghz(4))
         code, out, _ = run_cli(capsys, *argv)
         assert code in (0, 1)
         assert set(json.loads(out)["config"]) == keys
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("certify", "--n", "3", "--E", "2.5"), ("--seed", "5")),
+        (("certify", "--n", "3", "--E", "2.5"), ("--state", "s.json")),
+        (("certify", "--estimate", "--state", "s.json", "--settings", "t.json"), ("--n", "3")),
+        (("criteria", "--which", "mm", "--state", "s.json"), ("--trials", "2")),
+    ])
+    def test_flag_the_mode_does_not_read_rejected(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv, *flag)
+        assert code == 2
+        assert out == ""
+        assert f"{argv[0]} does not read {flag[0]} in this mode" in err
+
+    def test_which_from_config_chooses_the_keys(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("which = distribute\nseed = 5\n")
+        code, out, _ = run_cli(capsys, "criteria", "--config", str(cfg), "--n", "3",
+                               "--k", "1", "--trials", "2")
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 5
+        cfg.write_text("which = mutinfo\nseed = 5\n")
+        code, out, err = run_cli(capsys, "criteria", "--config", str(cfg))
+        assert code == 2
+        assert "criteria does not read config key 'seed'" in err
+        cfg.write_text("which = bogus\n")
+        code, out, err = run_cli(capsys, "criteria", "--config", str(cfg))
+        assert code == 2
+        assert "--which must be fragility|mutinfo|mm|distribute" in err
 
 
 class TestVerifyCommand:

@@ -62,22 +62,22 @@ class TestCoordinateSweep:
 
 
 def fold_at(corr, vectors, *moves):
-    """_fold(v) . corr with the coordinates of v moved by (flat axis, step)."""
+    """Re _fold(v) . corr with the coordinates of v moved by (flat axis, step)."""
     x = vectors.ravel().copy()
     for axis, step in moves:
         x[axis] += step
-    return float(_fold(x.reshape(vectors.shape)) @ corr)
+    return float(_fold(x.reshape(vectors.shape)).real @ corr)
 
 
 def central_gradient(corr, vectors, h=1e-3):
-    """Gradient of _fold(v) . corr by central differences; exact up to
+    """Gradient of Re _fold(v) . corr by central differences; exact up to
     rounding, since the objective is linear in every coordinate."""
     return np.array([(fold_at(corr, vectors, (a, h)) - fold_at(corr, vectors, (a, -h))) / (2 * h)
                      for a in range(vectors.size)])
 
 
 def central_hessian(corr, vectors, h=1e-3):
-    """Hessian of _fold(v) . corr by central differences; the diagonal is
+    """Hessian of Re _fold(v) . corr by central differences; the diagonal is
     zero since the objective is linear in every coordinate."""
     def cross(a, b):
         return (fold_at(corr, vectors, (a, h), (b, h)) - fold_at(corr, vectors, (a, h), (b, -h))
@@ -112,7 +112,7 @@ class TestFoldDerivatives:
         best = max_violation_settings(state, restarts=1, tol=1e-14, seed=0).best_settings.vectors
         vectors = best + 1e-3 * np.random.default_rng(1).normal(size=best.shape)
         vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
-        value = float(_fold(vectors) @ corr)
+        value = float(_fold(vectors).real @ corr)
         norms = [riemannian_gradient_norm(state, vectors)]
         for _ in range(2):
             step = optimize._newton_step(corr, vectors, value, 0.0)
