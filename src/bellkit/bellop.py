@@ -18,6 +18,8 @@ each caller takes what it needs from G:
     unit pair (e_0, e_1)                      the 2^n correlator coefficients, Re G
     +-1 pair ([1,1,-1,-1], [1,-1,1,-1])       F_n = Re G and F_n' = Im G on all 4^n
                                               assignments
+    frame flip pair ((1, 1),                  G|s> = g_s |~s> in each qubit's frame:
+      (rot_j, conj rot_j))                    the spectrum of B_n (_spectrum)
 
 On the +-1 pairs every factor is 2(+-1 +- i) or one of +-1, +-i, and on the
 unit pair a dyadic rational, so both tables are exact in float64.
@@ -32,7 +34,6 @@ certificates in :mod:`bellkit.certify`.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -42,8 +43,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .qstate import (PAULI_X, PAULI_Y, PAULI_Z, PureState, State, UNIT_ATOL, _contract_pairs,
-                     require_finite)
+                     _read_json, _write_json, require_finite)
 
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
 MAX_ENUM_QUBITS = 10       # 4^n assignment enumeration
 OPERATOR_MATCH_ATOL = 1e-10
@@ -98,12 +100,10 @@ class Settings:
 
     @classmethod
     def load(cls, path) -> "Settings":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return _read_json(path, cls.from_json)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
+        _write_json(path, self.to_json())
 
 
 @dataclass(frozen=True)
@@ -214,13 +214,14 @@ def expand_correlators(n: int) -> CorrelatorPoly:
                               in zip(itertools.product((0, 1), repeat=n), table) if v})
 
 
-def _operator(vectors: np.ndarray) -> np.ndarray:
+def _operator(vectors: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """Dense B_n = (G + G^dagger)/2 for arbitrary (possibly non-unit)
-    3-vectors, with G folded over the pairs (a_j.sigma, a_j'.sigma).
-    Multilinear in each direction, which the optimizers in
+    3-vectors, with G = z_1.sigma (x) ... (x) z_n.sigma and z_1 scaled by
+    ``scale``.  Multilinear in each direction, which the optimizers in
     :mod:`bellkit.optimize` exploit."""
-    v = vectors[..., None, None]
-    g = _fold(v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z)
+    z = _factors(np.einsum("jxa,abc->jxbc", vectors, _PAULIS))[0]    # z_j.sigma
+    z[0] *= scale
+    g = reduce(np.kron, z)
     g += g.conj().T
     g *= 0.5
     return g
@@ -228,7 +229,7 @@ def _operator(vectors: np.ndarray) -> np.ndarray:
 
 # Row mu holds sigma_mu[j, i] at the interleaved index 2i + j, so that a row
 # dotted with the (i, j) pair of one qubit of rho gives tr(rho sigma_mu).
-_PAULI_TRACE_ROWS = np.array([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+_PAULI_TRACE_ROWS = np.array([p.T.ravel() for p in _PAULIS])
 
 
 def _correlation_tensor(state: State) -> np.ndarray:
@@ -261,6 +262,25 @@ def bell_expectation(state: State, st: Settings) -> float:
     return float(val.real)
 
 
+def _spectrum(vectors: np.ndarray) -> np.ndarray:
+    """The 2^n eigenvalues of B_n for unit 3-vectors, in closed form.
+
+    In the frame a_j = e1, a_j' = cos t e1 + sin t e2 (cos t = a_j.a_j',
+    sin t = |a_j x a_j'|, any e2 if they are parallel), z_j.sigma sends |0>
+    to beta_j |1> and |1> to alpha_j |0>, beta_j, alpha_j = c_j0 + c_j1
+    rot_j^(+-1) with rot_j = e^(i t).  So G|s> = g_s |~s>, g = _fold of the
+    frame flip pairs ((1, 1), (rot_j, conj rot_j)), and B_n splits into 2x2
+    blocks on span{|s>, |~s>} with eigenvalues +-|h_s|/2, h_s = g_s +
+    conj(g_~s) = conj(h_~s); + goes to the s with leading bit 0.  As
+    |beta_j|^2 + |alpha_j|^2 = 2 |z_j|^2 (16 at j = 1, then 2), Cauchy-Schwarz
+    on |h_s| <= |g_s| + |g_~s| gives the paper's B_n^2 <= 2^(n+1).
+    """
+    a, ap = vectors[:, 0], vectors[:, 1]
+    rot = np.sum(a * ap, axis=1) + 1j * np.linalg.norm(np.cross(a, ap), axis=1)
+    g = _fold([((1, 1), (r, r.conjugate())) for r in rot])
+    return np.abs(g + g[::-1].conj()) / 2 * np.repeat([1, -1], len(g) // 2)
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     lambda_max_sq: float
@@ -269,9 +289,10 @@ class BoundCheck:
 
 
 def bound_check(st: Settings) -> BoundCheck:
-    """Largest eigenvalue of B_n^2 against its cap 2^(n+1)."""
-    w = np.linalg.eigvalsh(bell_operator(st))
-    lam_sq = float(np.max(w**2))
+    """Largest eigenvalue of B_n^2 (from _spectrum) against its cap 2^(n+1)."""
+    if st.n > MAX_OPERATOR_QUBITS:
+        raise ValueError(f"dense operator supports n <= {MAX_OPERATOR_QUBITS}")
+    lam_sq = float(np.max(_spectrum(st.vectors) ** 2))
     bound = 2.0 ** (st.n + 1)
     return BoundCheck(lam_sq, bound, lam_sq <= bound + BOUND_SLACK)
 

@@ -14,7 +14,8 @@ reads in its mode (certify with or without --estimate, criteria per
 --which), inside the JSON output; re-running that configuration reproduces
 the output byte for byte.  A key the command does not read in its mode, on
 a config-file line or a flag, is a usage error.
-Exit codes: 0 success, 1 a property check failed, 2 usage error.
+Exit codes: 0 success, 1 a property check failed, 2 usage error (a missing
+or malformed input file included).
 """
 
 from __future__ import annotations
@@ -138,38 +139,34 @@ def _cmd_certify(args) -> int:
         keys = {"n": None, "E": None}
     opts = _resolve(args, {**keys, "epsilon": None})
     echo = _config_echo(args, opts, {"estimate": estimate_mode or None})
-    try:
-        if estimate_mode:
-            if not opts["state"] or not opts["settings"]:
-                print("--estimate needs --state and --settings files", file=sys.stderr)
-                return EXIT_USAGE
-            state = qstate.load_state(opts["state"])
-            st = bellop.Settings.load(opts["settings"])
-            est = certify.estimate_E(state, st, opts["shots"], opts["seed"])
-            epsilon = opts["epsilon"]
-            if epsilon is None:
-                epsilon = certify.ESTIMATE_SIGMA * est.stderr
-            result = certify.certify_depth(est.value, state.n, epsilon)
-            payload = {"config": echo,
-                       "estimate": {"E": est.value, "stderr": est.stderr},
-                       "certificate": result.to_json()}
-        else:
-            n, value = opts["n"], opts["E"]
-            if n is None or value is None:
-                print("exact mode needs --n and --E", file=sys.stderr)
-                return EXIT_USAGE
-            if value < 0:
-                print("E must be nonnegative", file=sys.stderr)
-                return EXIT_USAGE
-            epsilon = opts["epsilon"]
-            if epsilon is None:
-                epsilon = certify.EXACT_EPSILON
-            result = certify.certify_depth(value, n, epsilon)
-            payload = {"config": echo,
-                       "certificate": result.to_json()}
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc.filename}", file=sys.stderr)
-        return EXIT_USAGE
+    if estimate_mode:
+        if not opts["state"] or not opts["settings"]:
+            print("--estimate needs --state and --settings files", file=sys.stderr)
+            return EXIT_USAGE
+        state = qstate.load_state(opts["state"])
+        st = bellop.Settings.load(opts["settings"])
+        est = certify.estimate_E(state, st, opts["shots"], opts["seed"])
+        epsilon = opts["epsilon"]
+        if epsilon is None:
+            epsilon = certify.ESTIMATE_SIGMA * est.stderr
+        result = certify.certify_depth(est.value, state.n, epsilon)
+        payload = {"config": echo,
+                   "estimate": {"E": est.value, "stderr": est.stderr},
+                   "certificate": result.to_json()}
+    else:
+        n, value = opts["n"], opts["E"]
+        if n is None or value is None:
+            print("exact mode needs --n and --E", file=sys.stderr)
+            return EXIT_USAGE
+        if value < 0:
+            print("E must be nonnegative", file=sys.stderr)
+            return EXIT_USAGE
+        epsilon = opts["epsilon"]
+        if epsilon is None:
+            epsilon = certify.EXACT_EPSILON
+        result = certify.certify_depth(value, n, epsilon)
+        payload = {"config": echo,
+                   "certificate": result.to_json()}
     rows = [["k", "bound"]] + [[k, b] for k, b in enumerate(result.thresholds)]
     _emit(payload, opts["out"], opts["format"], csv_rows=rows)
     return EXIT_OK
@@ -190,47 +187,37 @@ def _cmd_criteria(args) -> int:
     opts = _resolve(args, {"which": None}, mode=_criteria_keys)
     which = opts["which"]
     echo = _config_echo(args, opts)
-    try:
-        if which == "fragility":
-            state = qstate.load_state(opts["state"])
-            if not isinstance(state, qstate.PureState):
-                print("fragility needs a pure-state file", file=sys.stderr)
-                return EXIT_USAGE
-            rep = criteria.fragility(state)
-            body = {"fragility": rep.fragility, "is_maximal": rep.is_maximal,
-                    "bloch": [list(map(float, b)) for b in rep.bloch]}
-        elif which == "mutinfo":
-            state = qstate.load_state(opts["state"])
-            mi = criteria.mutual_information(state, qstate.z_bases(state.n))
-            body = {"mutual_information_bits": mi}
-        elif which == "mm":
-            sym = symstate.load_sym(opts["state"])
-            rep = criteria.mm_partial_residual(sym)
-            body = {"m": rep.m, "residual": rep.residual,
-                    "observed": list(map(float, rep.observed)),
-                    "target": list(map(float, rep.target))}
-        else:
-            n, k = opts["n"], opts["k"]
-            if n is None or k is None:
-                print("distribute needs --n and --k", file=sys.stderr)
-                return EXIT_USAGE
-            trials = 200 if opts["trials"] is None else opts["trials"]
-            rep = criteria.distribute_check(n, k, trials, opts["seed"])
-            body = {"n": rep.n, "k": rep.k, "trials": rep.trials,
-                    "x_passes": rep.x_passes, "z_passes": rep.z_passes,
-                    "worst_fidelity_error": rep.worst_fidelity_error,
-                    "passed": rep.passed}
-            if not rep.passed:
-                _emit({"config": echo, "report": body}, opts["out"], opts["format"])
-                return EXIT_CHECK_FAILED
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc.filename}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if which == "fragility":
+        state = qstate.load_state(opts["state"])
+        if not isinstance(state, qstate.PureState):
+            print("fragility needs a pure-state file", file=sys.stderr)
+            return EXIT_USAGE
+        rep = criteria.fragility(state)
+        body = {"fragility": rep.fragility, "is_maximal": rep.is_maximal,
+                "bloch": [list(map(float, b)) for b in rep.bloch]}
+    elif which == "mutinfo":
+        state = qstate.load_state(opts["state"])
+        mi = criteria.mutual_information(state, qstate.z_bases(state.n))
+        body = {"mutual_information_bits": mi}
+    elif which == "mm":
+        sym = symstate.load_sym(opts["state"])
+        rep = criteria.mm_partial_residual(sym)
+        body = {"m": rep.m, "residual": rep.residual,
+                "observed": list(map(float, rep.observed)),
+                "target": list(map(float, rep.target))}
+    else:
+        n, k = opts["n"], opts["k"]
+        if n is None or k is None:
+            print("distribute needs --n and --k", file=sys.stderr)
+            return EXIT_USAGE
+        trials = 200 if opts["trials"] is None else opts["trials"]
+        rep = criteria.distribute_check(n, k, trials, opts["seed"])
+        body = {"n": rep.n, "k": rep.k, "trials": rep.trials,
+                "x_passes": rep.x_passes, "z_passes": rep.z_passes,
+                "worst_fidelity_error": rep.worst_fidelity_error,
+                "passed": rep.passed}
     _emit({"config": echo, "report": body}, opts["out"], opts["format"])
-    return EXIT_OK
+    return EXIT_OK if body.get("passed", True) else EXIT_CHECK_FAILED
 
 
 def _cmd_basis(args) -> int:
@@ -239,42 +226,38 @@ def _cmd_basis(args) -> int:
     if to not in ("x", "y"):
         print("--to must be x or y", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if opts["state"]:
-            sym = symstate.load_sym(opts["state"])
-            if to == "y":
-                print("general z -> y conversion is unsupported (GHZ only)",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            converted, scale = symstate.z_to_x(sym)
-            tables = [{"input": symstate.sym_to_json(sym),
-                       "output": symstate.sym_to_json(converted),
-                       "scale": str(scale)}]
-        else:
-            if n is None or n < 1:
-                print("basis requires --n >= 1 (or --state FILE)", file=sys.stderr)
-                return EXIT_USAGE
-            tables = []
-            for sign in (1, -1):
-                g = symstate.ghz(n, sign)
-                if to == "x":
-                    converted, scale = symstate.z_to_x(g)
-                    scale_txt = str(scale)
-                else:
-                    converted = symstate.ghz_y_form(n, sign)
-                    vy = symstate.embed_vector(converted)
-                    vg = symstate.embed_vector(g)
-                    idx = int(np.argmax(np.abs(vg)))
-                    ratio = vy[idx] / vg[idx]
-                    scale_txt = f"{ratio.real:+g}{ratio.imag:+g}i"
-                tables.append({"input": symstate.sym_to_json(g),
-                               "output": symstate.sym_to_json(converted),
-                               "scale": scale_txt})
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc.filename}", file=sys.stderr)
-        return EXIT_USAGE
+    if opts["state"]:
+        sym = symstate.load_sym(opts["state"])
+        if to == "y":
+            print("general z -> y conversion is unsupported (GHZ only)",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        converted, scale = symstate.z_to_x(sym)
+        tables = [{"input": symstate.sym_to_json(sym),
+                   "output": symstate.sym_to_json(converted),
+                   "scale": str(scale)}]
+    else:
+        if n is None or n < 1:
+            print("basis requires --n >= 1 (or --state FILE)", file=sys.stderr)
+            return EXIT_USAGE
+        tables = []
+        for sign in (1, -1):
+            g = symstate.ghz(n, sign)
+            if to == "x":
+                converted, scale = symstate.z_to_x(g)
+                scale_txt = str(scale)
+            else:
+                converted = symstate.ghz_y_form(n, sign)
+                vy = symstate.embed_vector(converted)
+                vg = symstate.embed_vector(g)
+                idx = int(np.argmax(np.abs(vg)))
+                ratio = vy[idx] / vg[idx]
+                scale_txt = f"{ratio.real:+g}{ratio.imag:+g}i"
+            tables.append({"input": symstate.sym_to_json(g),
+                           "output": symstate.sym_to_json(converted),
+                           "scale": scale_txt})
     rows = [["sign", "label", "coefficient"]]
-    for i, table in enumerate(tables):
+    for table in tables:
         for ell, coeff in enumerate(table["output"]["coeff"]):
             rows.append([table["input"]["coeff"][-1], ell, coeff])
     _emit({"config": _config_echo(args, opts), "tables": tables},
@@ -318,8 +301,7 @@ def _cmd_verify(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        qstate._write_json(opts["out"], payload, indent=2, sort_keys=True, default=float)
     print("all checks passed" if payload["all_passed"] else "SOME CHECKS FAILED")
     return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
 
@@ -388,6 +370,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except FileNotFoundError as exc:
+        print(f"missing file: {exc.filename}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,8 @@ the contraction of T with the factors already updated (a prefix) and the
 Kronecker products of the factors not yet visited (suffixes, built once per
 sweep), and reads the coefficients of a_j and a_j' from their product, in
 O(3^n) per sweep.  T is built once per state.  Dense operators remain only
-for the eigenvalue steps and for re-verifying every reported optimum.
+for the eigen step of max_eigen_settings and for re-verifying every reported
+optimum; product_bound_max builds only its (n-m)-qubit block operator.
 
 Coordinate ascent converges linearly, and on generic states slowly.  When
 max_violation_settings sees its sweep gains shrink by less than
@@ -31,17 +32,16 @@ ended: "converged", "stalled" or "capped" (see RESTART_STATUSES).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import criteria, symstate
-from .bellop import (Settings, _correlation_tensor, _factors, _fold, _operator,
+from .bellop import (_PAULIS, Settings, _correlation_tensor, _factors, _fold, _operator,
                      bell_expectation)
-from .qstate import PureState, State, child_rng
+from .qstate import PureState, State, _contract_leading, _write_json, child_rng
 
 BACKTRACK_FACTOR = 0.5    # line-search shrink factor
 MAX_ITERATIONS = 500      # per-restart iteration cap
@@ -89,8 +89,7 @@ class OptResult:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+        _write_json(path, self.to_json(), indent=2, sort_keys=True)
 
 
 def _random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -308,23 +307,6 @@ def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
     return _multistart(ascent, finish, restarts, seed, tol)
 
 
-def _effective_operator(bmat: np.ndarray, n: int, fixed: Sequence, free: Sequence[int]) -> np.ndarray:
-    """<fixed|B|fixed> as an operator on the free qubits (0-based ascending).
-
-    ``fixed`` is a sequence of (qubit_tuple, state_vector) groups covering
-    every qubit outside ``free``.
-    """
-    operands = [bmat.reshape([2] * (2 * n)), list(range(2 * n))]
-    for qubits, vec in fixed:
-        v = np.asarray(vec, dtype=complex).reshape([2] * len(qubits))
-        operands.extend([v.conj(), [q for q in qubits]])
-        operands.extend([v, [n + q for q in qubits]])
-    out_subs = [q for q in free] + [n + q for q in free]
-    res = np.einsum(*operands, out_subs)
-    d = 2 ** len(free)
-    return res.reshape(d, d)
-
-
 def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
                       seed: int = 0) -> OptResult:
     """Maximize <B_n> over states of the form (arbitrary block on the first
@@ -335,31 +317,33 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
     Alternates (a) a settings sweep, (b) the block state as the top
     eigenvector of its effective operator, and (c) each product qubit as the
     top eigenvector of its effective 2x2 operator; every step is an exact
-    subproblem optimum, so the objective never decreases.
-    """
+    subproblem optimum, so the objective never decreases.  Fixing qubit q in
+    |s_q> scales G = z_1.sigma (x) ... (x) z_n.sigma by <s_q|z_q.sigma|s_q>, so
+    (b) is the (n-m)-qubit B with z_1 scaled by all of these, and (c) is
+    c z_q.sigma + h.c. with c = <block|G_block|block> times the others."""
     if not 1 <= m < n <= 8:
         raise ValueError("need 1 <= m < n <= 8")
-    block_qubits = tuple(range(n - m))
-    single_qubits = list(range(n - m, n))
+    k = n - m
 
     def ascent(rng):
         vectors = _random_unit_vectors(rng, n)
-        block = rng.normal(size=2 ** (n - m)) + 1j * rng.normal(size=2 ** (n - m))
+        block = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
         block /= np.linalg.norm(block)
-        singles = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in single_qubits]
+        singles = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(m)]
         singles = [s / np.linalg.norm(s) for s in singles]
         while True:
             state = PureState(n, reduce(np.kron, singles, block))
             corr = _correlation_tensor(state)
             yield float(_fold(vectors).real @ corr), None, (vectors, state)
             vectors, _ = _coordinate_sweep(corr, vectors)
-            b = _operator(vectors)
-            fixed = [((q,), s) for q, s in zip(single_qubits, singles)]
-            block = np.linalg.eigh(_effective_operator(b, n, fixed, block_qubits))[1][:, -1]
-            for i, q in enumerate(single_qubits):
-                fixed = [(block_qubits, block)]
-                fixed += [((qq,), ss) for qq, ss in zip(single_qubits, singles) if qq != q]
-                singles[i] = np.linalg.eigh(_effective_operator(b, n, fixed, [q]))[1][:, -1]
+            ops = np.einsum("ja,abc->jbc", _factors(vectors)[0], _PAULIS)    # z_j.sigma
+            fixed = [np.vdot(s, op @ s) for s, op in zip(singles, ops[k:])]
+            block = np.linalg.eigh(_operator(vectors[:k], scale=np.prod(fixed)))[1][:, -1]
+            c_block = np.vdot(block, _contract_leading(block, ops[:k]).ravel())
+            for i, op in enumerate(ops[k:]):
+                h = c_block * np.prod(fixed[:i] + fixed[i + 1:]) * op
+                singles[i] = np.linalg.eigh(h + h.conj().T)[1][:, -1]
+                fixed[i] = np.vdot(singles[i], op @ singles[i])
 
     def finish(point):
         vectors, state = point

@@ -454,19 +454,30 @@ def state_to_json(state: State) -> dict:
 def state_from_json(obj: dict) -> State:
     n = obj["n"]
     if "amp" in obj:
-        amp = np.array([complex(re, im) for re, im in obj["amp"]])
-        return PureState(n, amp)
+        return PureState(n, [complex(re, im) for re, im in obj["amp"]])
     if "mat" in obj:
-        mat = np.array([[complex(re, im) for re, im in row] for row in obj["mat"]])
-        return DensityMatrix(n, mat)
+        return DensityMatrix(n, [[complex(re, im) for re, im in row] for row in obj["mat"]])
     raise ValueError("state JSON needs an 'amp' or 'mat' field")
 
 
-def save_state(path, state: State) -> None:
+def _write_json(path, obj, **kwargs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(state), fh)
+        json.dump(obj, fh, **kwargs)
+
+
+def save_state(path, state: State) -> None:
+    _write_json(path, state_to_json(state))
+
+
+def _read_json(path, parse):
+    """parse(JSON file); malformed content raises ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}: {what}") from exc
 
 
 def load_state(path) -> State:
-    with open(path, encoding="utf-8") as fh:
-        return state_from_json(json.load(fh))
+    return _read_json(path, state_from_json)

@@ -27,7 +27,6 @@ explicitly rather than folded into the coefficients.
 
 from __future__ import annotations
 
-import json
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .qstate import PureState, _check_n, hamming_weights, require_finite
+from .qstate import PureState, _check_n, _read_json, _write_json, hamming_weights, require_finite
 
 NORM_MATCH_ATOL = 1e-12  # float embedding norm vs exact rational norm
 
@@ -349,6 +348,7 @@ def bell_basis(n: int) -> list[BellBasisState]:
     """The 2^n orthonormal GHZ-type states (|b> +/- |~b>)/sqrt(2) with the
     first bit of b fixed to 0.  Each is the + GHZ state up to bit flips on a
     subset of qubits (and a sign)."""
+    n = _check_n(n)
     if n < 2:
         raise ValueError("bell_basis needs n >= 2")
     states = []
@@ -374,9 +374,8 @@ def sym_to_json(state: SymState) -> dict:
 
 
 def sym_from_json(obj: dict) -> SymState:
-    raw = obj["coeff"]
     coeff: list = []
-    for entry in raw:
+    for entry in obj["coeff"]:
         if isinstance(entry, str):
             coeff.append(parse_rational_complex(entry))
         elif isinstance(entry, (list, tuple)):
@@ -387,10 +386,8 @@ def sym_from_json(obj: dict) -> SymState:
 
 
 def save_sym(path, state: SymState) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sym_to_json(state), fh)
+    _write_json(path, sym_to_json(state))
 
 
 def load_sym(path) -> SymState:
-    with open(path, encoding="utf-8") as fh:
-        return sym_from_json(json.load(fh))
+    return _read_json(path, sym_from_json)

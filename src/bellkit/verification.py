@@ -54,7 +54,7 @@ def check_lhv_bound(fast: bool = False) -> CheckResult:
 @_timed
 def check_operator_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """B_n^2 <= 2^(n+1) on random settings; GHZ-optimal settings reach the
-    top eigenvalue 2^((n+1)/2)."""
+    top eigenvalue 2^((n+1)/2), both read from bellop.bound_check."""
     rng = np.random.default_rng(seed)
     trials = 20 if fast else 100
     rand_top = 6 if fast else 8
@@ -70,8 +70,7 @@ def check_operator_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckR
     eig_top = 8 if fast else 10
     eig_err = 0.0
     for n in range(2, eig_top + 1):
-        st = bellop.ghz_optimal_settings(n)
-        lam = float(np.linalg.eigvalsh(bellop.bell_operator(st))[-1])
+        lam = float(np.sqrt(bellop.bound_check(bellop.ghz_optimal_settings(n)).lambda_max_sq))
         eig_err = max(eig_err, abs(lam - 2.0 ** ((n + 1) / 2)))
     ok = ok and eig_err <= 1e-9
     return CheckResult(

@@ -12,6 +12,7 @@ from bellkit.bellop import (Assignment, Settings, bell_expectation,
                             bell_operator, bound_check, expand_correlators,
                             f_classical, f_prime, ghz_optimal_settings, lhv_max)
 from bellkit.qstate import PAULI_X, PAULI_Y, PAULI_Z, PureState, pauli_dot
+from bellkit.symstate import bell_basis
 
 from conftest import (ghz_pure, kron_chain_operator, random_density, random_pure,
                       random_unit_vectors)
@@ -438,6 +439,45 @@ class TestBoundCheck:
         res = bound_check(Settings(v))
         assert res.passed
         assert res.lambda_max_sq <= 2**n + 1e-8
+
+
+class TestClosedFormSpectrum:
+    """bellop._spectrum: in each qubit's frame G flips every bit, so B_n
+    splits into 2x2 blocks on span{|s>, |~s>} with eigenvalues +-|h_s|/2."""
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dense_eigenvalues(self, n, seed, data):
+        vectors = random_unit_vectors(n, np.random.default_rng(seed))
+        # 0 keeps the pair generic, +1 / -1 forces a_j' = +-a_j
+        forced = data.draw(st.lists(st.sampled_from([0, 1, -1]), min_size=n, max_size=n),
+                           label="forced")
+        for j, sign in enumerate(forced):
+            if sign:
+                vectors[j, 1] = sign * vectors[j, 0]
+        dense = np.linalg.eigvalsh(kron_chain_operator(vectors))
+        assert np.max(np.abs(np.sort(bellop._spectrum(vectors)) - dense)) <= 1e-12
+        res = bound_check(Settings(vectors))
+        assert res.lambda_max_sq == pytest.approx(float(np.max(dense**2)), abs=1e-11)
+
+    def test_beyond_dense_operator_cap(self):
+        with pytest.raises(ValueError, match="dense operator supports"):
+            bound_check(ghz_optimal_settings(bellop.MAX_OPERATOR_QUBITS + 1))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ghz_settings_diagonal_in_bell_basis(self, n):
+        # bell_basis lists (|b> + |~b>, |b> - |~b>) consecutively, so the
+        # 2x2 pair blocks are the index pairs (2i, 2i + 1)
+        st_ = ghz_optimal_settings(n)
+        basis = np.array([s.to_pure().amp for s in bell_basis(n)]).T
+        b = basis.conj().T @ bell_operator(st_) @ basis
+        block = np.arange(2**n) // 2
+        assert np.max(np.abs(b[block[:, None] != block[None, :]])) == 0.0
+        spec = np.sort(bellop._spectrum(st_.vectors))
+        top = 2.0 ** ((n + 1) / 2)
+        assert spec[-1] == pytest.approx(top, abs=1e-12)
+        assert spec[0] == pytest.approx(-top, abs=1e-12)
+        assert np.max(np.abs(spec[1:-1])) <= 1e-12
 
 
 def two_sign_ghz_settings(n: int) -> Settings:

@@ -548,3 +548,54 @@ class TestNonIntegerQubitCount:
         assert code == 2
         assert out == ""
         assert "integer" in err
+
+
+def _malformed_files(tmp_path, case):
+    """(argv, expected stderr fragment) for one malformed input file."""
+    state, settings = tmp_path / "state.json", tmp_path / "settings.json"
+    qstate.save_state(state, ghz_pure(2))
+    ghz_optimal_settings(2).save(settings)
+    estimate = ["certify", "--estimate", "--state", str(state), "--settings", str(settings)]
+    if case == "certify-state-without-n":
+        obj = qstate.state_to_json(ghz_pure(2))
+        del obj["n"]
+        state.write_text(json.dumps(obj))
+        return estimate, "missing key 'n'"
+    if case == "certify-settings-without-a_prime":
+        obj = ghz_optimal_settings(2).to_json()
+        del obj[1]["a_prime"]
+        settings.write_text(json.dumps(obj))
+        return estimate, "missing key 'a_prime'"
+    if case == "certify-settings-not-a-list":
+        settings.write_text(json.dumps({"a": [1, 0, 0]}))
+        return estimate, str(settings)
+    if case == "basis-sym-without-n":
+        obj = symstate.sym_to_json(symstate.ghz(3))
+        del obj["n"]
+        state.write_text(json.dumps(obj))
+        return ["basis", "--state", str(state)], "missing key 'n'"
+    if case == "criteria-truncated-json":
+        state.write_text('{"n": 2, "amp": [[1, 0]')
+        return ["criteria", "--which", "mutinfo", "--state", str(state)], str(state)
+    raise AssertionError(case)
+
+
+class TestMalformedInputFile:
+    @pytest.mark.parametrize("case", ["certify-state-without-n",
+                                      "certify-settings-without-a_prime",
+                                      "certify-settings-not-a-list",
+                                      "basis-sym-without-n",
+                                      "criteria-truncated-json"])
+    def test_usage_error(self, capsys, tmp_path, case):
+        argv, fragment = _malformed_files(tmp_path, case)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and fragment in err
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "bellmax", "--n", "2",
+                                 "--config", str(tmp_path / "none.cfg"))
+        assert code == 2
+        assert out == ""
+        assert err == f"missing file: {tmp_path / 'none.cfg'}\n"

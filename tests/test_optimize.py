@@ -221,6 +221,14 @@ class TestProductBoundMax:
         res = product_bound_max(4, 2, restarts=15, tol=1e-10, seed=23)
         assert res.best_value == pytest.approx(2**1.5, abs=1e-5)
 
+    def test_traces_pinned(self):
+        # trace lengths, statuses and best value of the dense
+        # effective-operator implementation this one replaced
+        res = product_bound_max(4, 2, restarts=5, tol=1e-10, seed=23)
+        assert [len(t) for t in res.traces] == [4] * 5
+        assert res.statuses == ("converged",) * 5
+        assert abs(res.best_value - 2.8284271247461916) <= 1e-12
+
     def test_argmax_state_is_product_structured(self):
         res = product_bound_max(3, 1, restarts=10, tol=1e-10, seed=24)
         # tracing out the block leaves the last qubit pure

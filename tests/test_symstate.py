@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import symstate
+from bellkit.qstate import MAX_QUBITS
 from bellkit.symstate import (RationalComplex, SymState,
                               bell_basis, embed, embed_vector, ghz,
                               ghz_y_form, inner, parse_rational_complex,
@@ -245,6 +246,18 @@ class TestBellBasis:
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError):
             bell_basis(1)
+
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            bell_basis(n)
+
+    def test_too_many_qubits_rejected_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a basis state was built before n was checked")
+        monkeypatch.setattr(symstate, "BellBasisState", refuse)
+        with pytest.raises(ValueError, match="qubit count"):
+            bell_basis(MAX_QUBITS + 1)
 
 
 class TestJson:

@@ -1,6 +1,6 @@
 """Record the benchmark, Tier-1 and verify timings of a checkout in one file.
 
-    python3 tools/bench_record.py --out BENCH_10.json
+    python3 tools/bench_record.py --out BENCH_12.json
 
 From the root of a bellkit checkout this runs, one after another:
 
@@ -10,7 +10,9 @@ From the root of a bellkit checkout this runs, one after another:
 * one ``--trace 1`` run at SEED, whose per-layer rows are kept as printed;
 * the Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
   with ``src`` on the path): wall time, and the counts pytest reports;
-* ``bellkit verify --fast``: the seconds of each check, read from stderr;
+* the full ``bellkit verify`` battery: the seconds of each check, read from
+  stderr (the ``--fast`` battery reads 0.0 s for most checks at the 0.1 s
+  resolution of that line);
 
 and writes them as JSON with the machine (cores, Python, numpy), the repeat
 count and the line count of ``src/``.
@@ -84,8 +86,8 @@ def tier1() -> dict:
     return {"wall_s": wall, "exit_code": out.returncode, "summary": summary, "counts": counts}
 
 
-def verify_fast() -> dict:
-    out = run([sys.executable, "-m", "bellkit.cli", "verify", "--fast"], env=src_env())
+def verify() -> dict:
+    out = run([sys.executable, "-m", "bellkit.cli", "verify"], env=src_env())
     seconds = {check: float(s) for check, s in
                re.findall(r"^(\S+)\s+\[([0-9.]+)s\]$", out.stderr, flags=re.MULTILINE)}
     return {"exit_code": out.returncode, "check_seconds": seconds}
@@ -98,7 +100,7 @@ def src_lines() -> int:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_10.json")
+    p.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_12.json")
     args = p.parse_args(argv)
 
     import numpy
@@ -114,7 +116,7 @@ def main(argv=None) -> int:
         "per_layer": {name: {"seed": SEED, "metrics": r["metrics"]}
                       for name, r in traced["workloads"].items()},
         "tier1": tier1(),
-        "verify_fast": verify_fast(),
+        "verify": verify(),
         "src_lines": src_lines(),
     }
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
