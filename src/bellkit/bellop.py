@@ -34,6 +34,7 @@ certificates in :mod:`bellkit.certify`.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -43,7 +44,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .qstate import (PAULI_X, PAULI_Y, PAULI_Z, PureState, State, UNIT_ATOL, _contract_pairs,
-                     _read_json, _write_json, require_finite)
+                     _read_json, require_finite)
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
@@ -103,7 +104,8 @@ class Settings:
         return _read_json(path, cls.from_json)
 
     def save(self, path) -> None:
-        _write_json(path, self.to_json())
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_json(), fh)
 
 
 @dataclass(frozen=True)
@@ -214,14 +216,13 @@ def expand_correlators(n: int) -> CorrelatorPoly:
                               in zip(itertools.product((0, 1), repeat=n), table) if v})
 
 
-def _operator(vectors: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+def _operator(vectors: np.ndarray) -> np.ndarray:
     """Dense B_n = (G + G^dagger)/2 for arbitrary (possibly non-unit)
-    3-vectors, with G = z_1.sigma (x) ... (x) z_n.sigma and z_1 scaled by
-    ``scale``.  Multilinear in each direction, which the optimizers in
+    3-vectors, with G folded over the pairs (a_j.sigma, a_j'.sigma).
+    Multilinear in each direction, which the optimizers in
     :mod:`bellkit.optimize` exploit."""
-    z = _factors(np.einsum("jxa,abc->jxbc", vectors, _PAULIS))[0]    # z_j.sigma
-    z[0] *= scale
-    g = reduce(np.kron, z)
+    v = vectors[..., None, None]
+    g = _fold(v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z)
     g += g.conj().T
     g *= 0.5
     return g
@@ -273,8 +274,7 @@ def _spectrum(vectors: np.ndarray) -> np.ndarray:
     blocks on span{|s>, |~s>} with eigenvalues +-|h_s|/2, h_s = g_s +
     conj(g_~s) = conj(h_~s); + goes to the s with leading bit 0.  As
     |beta_j|^2 + |alpha_j|^2 = 2 |z_j|^2 (16 at j = 1, then 2), Cauchy-Schwarz
-    on |h_s| <= |g_s| + |g_~s| gives the paper's B_n^2 <= 2^(n+1).
-    """
+    on |h_s| <= |g_s| + |g_~s| gives the paper's B_n^2 <= 2^(n+1)."""
     a, ap = vectors[:, 0], vectors[:, 1]
     rot = np.sum(a * ap, axis=1) + 1j * np.linalg.norm(np.cross(a, ap), axis=1)
     g = _fold([((1, 1), (r, r.conjugate())) for r in rot])

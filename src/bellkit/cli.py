@@ -146,9 +146,8 @@ def _cmd_certify(args) -> int:
         state = qstate.load_state(opts["state"])
         st = bellop.Settings.load(opts["settings"])
         est = certify.estimate_E(state, st, opts["shots"], opts["seed"])
-        epsilon = opts["epsilon"]
-        if epsilon is None:
-            epsilon = certify.ESTIMATE_SIGMA * est.stderr
+        epsilon = (certify.ESTIMATE_SIGMA * est.stderr if opts["epsilon"] is None
+                   else opts["epsilon"])
         result = certify.certify_depth(est.value, state.n, epsilon)
         payload = {"config": echo,
                    "estimate": {"E": est.value, "stderr": est.stderr},
@@ -161,12 +160,9 @@ def _cmd_certify(args) -> int:
         if value < 0:
             print("E must be nonnegative", file=sys.stderr)
             return EXIT_USAGE
-        epsilon = opts["epsilon"]
-        if epsilon is None:
-            epsilon = certify.EXACT_EPSILON
+        epsilon = certify.EXACT_EPSILON if opts["epsilon"] is None else opts["epsilon"]
         result = certify.certify_depth(value, n, epsilon)
-        payload = {"config": echo,
-                   "certificate": result.to_json()}
+        payload = {"config": echo, "certificate": result.to_json()}
     rows = [["k", "bound"]] + [[k, b] for k, b in enumerate(result.thresholds)]
     _emit(payload, opts["out"], opts["format"], csv_rows=rows)
     return EXIT_OK
@@ -229,8 +225,7 @@ def _cmd_basis(args) -> int:
     if opts["state"]:
         sym = symstate.load_sym(opts["state"])
         if to == "y":
-            print("general z -> y conversion is unsupported (GHZ only)",
-                  file=sys.stderr)
+            print("general z -> y conversion is unsupported (GHZ only)", file=sys.stderr)
             return EXIT_USAGE
         converted, scale = symstate.z_to_x(sym)
         tables = [{"input": symstate.sym_to_json(sym),
@@ -301,7 +296,8 @@ def _cmd_verify(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     if opts["out"]:
-        qstate._write_json(opts["out"], payload, indent=2, sort_keys=True, default=float)
+        with open(opts["out"], "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, default=float)
     print("all checks passed" if payload["all_passed"] else "SOME CHECKS FAILED")
     return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
 

@@ -32,6 +32,7 @@ ended: "converged", "stalled" or "capped" (see RESTART_STATUSES).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -41,7 +42,7 @@ import numpy as np
 from . import criteria, symstate
 from .bellop import (_PAULIS, Settings, _correlation_tensor, _factors, _fold, _operator,
                      bell_expectation)
-from .qstate import PureState, State, _contract_leading, _write_json, child_rng
+from .qstate import PureState, State, _contract_leading, child_rng
 
 BACKTRACK_FACTOR = 0.5    # line-search shrink factor
 MAX_ITERATIONS = 500      # per-restart iteration cap
@@ -89,7 +90,8 @@ class OptResult:
         return out
 
     def save(self, path) -> None:
-        _write_json(path, self.to_json(), indent=2, sort_keys=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
 def _random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -314,13 +316,12 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
     settings.  The optimum is 2^((n-m+1)/2): m independent qubits cap the
     achievable value at the n-m qubit quantum maximum.
 
-    Alternates (a) a settings sweep, (b) the block state as the top
-    eigenvector of its effective operator, and (c) each product qubit as the
-    top eigenvector of its effective 2x2 operator; every step is an exact
-    subproblem optimum, so the objective never decreases.  Fixing qubit q in
-    |s_q> scales G = z_1.sigma (x) ... (x) z_n.sigma by <s_q|z_q.sigma|s_q>, so
-    (b) is the (n-m)-qubit B with z_1 scaled by all of these, and (c) is
-    c z_q.sigma + h.c. with c = <block|G_block|block> times the others."""
+    Alternates (a) a settings sweep, (b) the block state and (c) each product
+    qubit in turn, every step an exact subproblem optimum, so the objective
+    never decreases.  Fixing qubit q in |s_q> scales G = z_1.sigma (x) ...
+    (x) z_n.sigma by <s_q|z_q.sigma|s_q>, so (b) is the top eigenvector of
+    c G_block + h.c., c the product of these factors, and (c) that of
+    c z_q.sigma + h.c., c = <block|G_block|block> times the other factors."""
     if not 1 <= m < n <= 8:
         raise ValueError("need 1 <= m < n <= 8")
     k = n - m
@@ -338,7 +339,8 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
             vectors, _ = _coordinate_sweep(corr, vectors)
             ops = np.einsum("ja,abc->jbc", _factors(vectors)[0], _PAULIS)    # z_j.sigma
             fixed = [np.vdot(s, op @ s) for s, op in zip(singles, ops[k:])]
-            block = np.linalg.eigh(_operator(vectors[:k], scale=np.prod(fixed)))[1][:, -1]
+            g = np.prod(fixed) * reduce(np.kron, ops[:k])
+            block = np.linalg.eigh(g + g.conj().T)[1][:, -1]
             c_block = np.vdot(block, _contract_leading(block, ops[:k]).ravel())
             for i, op in enumerate(ops[k:]):
                 h = c_block * np.prod(fixed[:i] + fixed[i + 1:]) * op

@@ -460,13 +460,9 @@ def state_from_json(obj: dict) -> State:
     raise ValueError("state JSON needs an 'amp' or 'mat' field")
 
 
-def _write_json(path, obj, **kwargs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, **kwargs)
-
-
 def save_state(path, state: State) -> None:
-    _write_json(path, state_to_json(state))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state_to_json(state), fh)
 
 
 def _read_json(path, parse):

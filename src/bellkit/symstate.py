@@ -27,6 +27,7 @@ explicitly rather than folded into the coefficients.
 
 from __future__ import annotations
 
+import json
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .qstate import PureState, _check_n, _read_json, _write_json, hamming_weights, require_finite
+from .qstate import PureState, _check_n, _read_json, hamming_weights, require_finite
 
 NORM_MATCH_ATOL = 1e-12  # float embedding norm vs exact rational norm
 
@@ -104,7 +105,7 @@ def i_power(k: int) -> RationalComplex:
     return _I_POWERS[k % 4]
 
 
-_RATIONAL = r"\d+(?:/\d+)?"
+_RATIONAL = r"\d+(?:/0*[1-9]\d*)?"   # no zero denominator
 
 
 def parse_rational_complex(text: str) -> RationalComplex:
@@ -386,7 +387,8 @@ def sym_from_json(obj: dict) -> SymState:
 
 
 def save_sym(path, state: SymState) -> None:
-    _write_json(path, sym_to_json(state))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(sym_to_json(state), fh)
 
 
 def load_sym(path) -> SymState:

@@ -53,20 +53,25 @@ def check_lhv_bound(fast: bool = False) -> CheckResult:
 
 @_timed
 def check_operator_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
-    """B_n^2 <= 2^(n+1) on random settings; GHZ-optimal settings reach the
-    top eigenvalue 2^((n+1)/2), both read from bellop.bound_check."""
+    """B_n^2 <= 2^(n+1) on random settings by bellop.bound_check's closed form,
+    itself matched to dense eigvalsh(B_n) at n <= 6; GHZ settings reach 2^((n+1)/2)."""
     rng = np.random.default_rng(seed)
     trials = 20 if fast else 100
     rand_top = 6 if fast else 8
     ok = True
     worst_excess = -np.inf
+    dense_err = 0.0   # the closed form against the dense B_n it stands for
     for n in range(2, rand_top + 1):
-        for _ in range(trials):
+        for trial in range(trials):
             v = rng.normal(size=(n, 2, 3))
             v /= np.linalg.norm(v, axis=2, keepdims=True)
             res = bellop.bound_check(bellop.Settings(v))
             worst_excess = max(worst_excess, res.lambda_max_sq - res.bound)
             ok = ok and res.passed
+            if trial < 3 and n <= 6:
+                dense = np.linalg.eigvalsh(bellop.bell_operator(bellop.Settings(v)))
+                dense_err = max(dense_err, float(abs(np.sort(bellop._spectrum(v)) - dense).max()))
+    ok = ok and dense_err <= 1e-9
     eig_top = 8 if fast else 10
     eig_err = 0.0
     for n in range(2, eig_top + 1):
@@ -77,7 +82,8 @@ def check_operator_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckR
         "operator-bound",
         f"lambda_max(B_n^2) <= 2^(n+1) on {trials} random settings (n<= {rand_top}); "
         f"GHZ settings give lambda_max = 2^((n+1)/2) within 1e-9 (n<= {eig_top})",
-        ok, {"worst_excess": worst_excess, "eigenvalue_error": eig_err})
+        ok, {"worst_excess": worst_excess, "eigenvalue_error": eig_err,
+             "dense_spectrum_error": dense_err})
 
 
 @_timed

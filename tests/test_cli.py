@@ -574,6 +574,11 @@ def _malformed_files(tmp_path, case):
         del obj["n"]
         state.write_text(json.dumps(obj))
         return ["basis", "--state", str(state)], "missing key 'n'"
+    if case == "basis-sym-zero-denominator":
+        obj = symstate.sym_to_json(symstate.ghz(3))
+        obj["coeff"][0] = "1/0"
+        state.write_text(json.dumps(obj))
+        return ["basis", "--state", str(state)], "cannot parse coefficient '1/0'"
     if case == "criteria-truncated-json":
         state.write_text('{"n": 2, "amp": [[1, 0]')
         return ["criteria", "--which", "mutinfo", "--state", str(state)], str(state)
@@ -585,6 +590,7 @@ class TestMalformedInputFile:
                                       "certify-settings-without-a_prime",
                                       "certify-settings-not-a-list",
                                       "basis-sym-without-n",
+                                      "basis-sym-zero-denominator",
                                       "criteria-truncated-json"])
     def test_usage_error(self, capsys, tmp_path, case):
         argv, fragment = _malformed_files(tmp_path, case)

@@ -39,6 +39,14 @@ class TestRationalComplex:
         with pytest.raises(ValueError):
             parse_rational_complex("one plus i")
 
+    @pytest.mark.parametrize("text", ["1/0", "-2/00i", "1/2+3/0i"])
+    def test_parse_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_rational_complex(text)
+
+    def test_parse_keeps_denominators_with_zeros(self):
+        assert parse_rational_complex("1/10") == parse_rational_complex("01/010")
+
 
 class TestInner:
     def test_w_state_norm(self):
