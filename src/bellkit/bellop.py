@@ -19,7 +19,8 @@ each caller takes what it needs from G:
     +-1 pair ([1,1,-1,-1], [1,-1,1,-1])       F_n = Re G and F_n' = Im G on all 4^n
                                               assignments
     frame flip pair ((1, 1),                  G|s> = g_s |~s> in each qubit's frame:
-      (rot_j, conj rot_j))                    the spectrum of B_n (_spectrum)
+      (rot_j, conj rot_j))                    the spectrum of B_n (_spectrum) and its
+                                              top eigenvector (_top_eigenpair)
 
 On the +-1 pairs every factor is 2(+-1 +- i) or one of +-1, +-i, and on the
 unit pair a dyadic rational, so both tables are exact in float64.
@@ -140,10 +141,21 @@ def _factors(pairs) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("jx,jx...->j...", c, pairs), c
 
 
+def _kron(factors) -> np.ndarray:
+    """np.kron over equal-rank vectors or matrices, first factor most significant:
+    np.multiply.outer forms the same products without np.kron's per-call overhead."""
+    out = reduce(np.multiply.outer, factors)
+    if np.ndim(factors[0]) == 1:
+        return out.ravel()
+    k = out.ndim // 2
+    return out.transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2)).reshape(
+        np.prod(out.shape[::2]), -1)
+
+
 def _fold(pairs) -> np.ndarray:
     """G = F_n + i F_n' = z_1 (x) ... (x) z_n from the factor pairs
     (A_j, A_j'), j = 1..n."""
-    return reduce(np.kron, _factors(pairs)[0])
+    return _kron(_factors(pairs)[0])
 
 
 def _assignment_table(n: int) -> np.ndarray:
@@ -263,22 +275,54 @@ def bell_expectation(state: State, st: Settings) -> float:
     return float(val.real)
 
 
-def _spectrum(vectors: np.ndarray) -> np.ndarray:
-    """The 2^n eigenvalues of B_n for unit 3-vectors, in closed form.
+def _flip_weights(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h_s = g_s + conj(g_~s) for unit 3-vectors, and the a_j x a_j'.
 
     In the frame a_j = e1, a_j' = cos t e1 + sin t e2 (cos t = a_j.a_j',
     sin t = |a_j x a_j'|, any e2 if they are parallel), z_j.sigma sends |0>
     to beta_j |1> and |1> to alpha_j |0>, beta_j, alpha_j = c_j0 + c_j1
     rot_j^(+-1) with rot_j = e^(i t).  So G|s> = g_s |~s>, g = _fold of the
     frame flip pairs ((1, 1), (rot_j, conj rot_j)), and B_n splits into 2x2
-    blocks on span{|s>, |~s>} with eigenvalues +-|h_s|/2, h_s = g_s +
-    conj(g_~s) = conj(h_~s); + goes to the s with leading bit 0.  As
-    |beta_j|^2 + |alpha_j|^2 = 2 |z_j|^2 (16 at j = 1, then 2), Cauchy-Schwarz
-    on |h_s| <= |g_s| + |g_~s| gives the paper's B_n^2 <= 2^(n+1)."""
+    blocks on span{|s>, |~s>}: B_n |s> = h_s/2 |~s>."""
     a, ap = vectors[:, 0], vectors[:, 1]
-    rot = np.sum(a * ap, axis=1) + 1j * np.linalg.norm(np.cross(a, ap), axis=1)
+    cross = np.cross(a, ap)
+    rot = np.sum(a * ap, axis=1) + 1j * np.linalg.norm(cross, axis=1)
     g = _fold([((1, 1), (r, r.conjugate())) for r in rot])
-    return np.abs(g + g[::-1].conj()) / 2 * np.repeat([1, -1], len(g) // 2)
+    return g + g[::-1].conj(), cross
+
+
+def _spectrum(vectors: np.ndarray) -> np.ndarray:
+    """The 2^n eigenvalues of B_n for unit 3-vectors, in closed form.
+
+    Each 2x2 block of _flip_weights has eigenvalues +-|h_s|/2, with h_s =
+    conj(h_~s); + goes to the s with leading bit 0.  As |beta_j|^2 +
+    |alpha_j|^2 = 2 |z_j|^2 (16 at j = 1, then 2), Cauchy-Schwarz on
+    |h_s| <= |g_s| + |g_~s| gives the paper's B_n^2 <= 2^(n+1)."""
+    h = _flip_weights(vectors)[0]
+    return np.abs(h) / 2 * np.repeat([1, -1], len(h) // 2)
+
+
+def _top_eigenpair(vectors: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of B_n for unit 3-vectors and a unit eigenvector, in
+    closed form: for s = argmax |h_s| (_flip_weights), |h_s|/2 and
+    (|u_s> + (h_s/|h_s|) |u_~s>)/sqrt(2) with |u_s> = (x)_j U_j|s_j>.  Column 0
+    of the frame U_j is the +1 eigenvector of e3.sigma (the larger column of
+    I + e3.sigma), e3 = e1 x e2 the unit a_j x a_j' kept orthogonal to a_j (any
+    such vector if the pair is parallel); column 1 is a_j.sigma column 0."""
+    h, cross = _flip_weights(vectors)
+    s = int(np.argmax(np.abs(h)))
+    top = abs(h[s])
+    a, idx = vectors[:, 0], np.arange(len(vectors))
+    e3 = cross - np.einsum("ja,ja->j", cross, a)[:, None] * a
+    for j in np.flatnonzero(~e3.any(axis=1)):
+        e3[j] = np.cross(a[j], np.eye(3)[np.argmin(np.abs(a[j]))])
+    e3 /= np.linalg.norm(e3, axis=1, keepdims=True)
+    u0 = (np.eye(2) + np.einsum("ja,abc->jbc", e3, _PAULIS))[idx, :, (e3[:, 2] < 0).astype(int)]
+    u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
+    frames = np.stack([u0, np.einsum("ja,abc,jc->jb", a, _PAULIS, u0)], axis=2)
+    bits = (s >> idx[::-1]) & 1
+    vec = _kron(frames[idx, :, bits]) + h[s] / top * _kron(frames[idx, :, 1 - bits])
+    return top / 2, vec / np.sqrt(2)
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,7 @@ def _cmd_verify(args) -> int:
     results = verification.run_all(fast=fast)
     for res in results:   # wall times go to stderr only, so stdout and --out replay
         print(res.line())
-        print(f"{res.check_id}  [{res.seconds:.1f}s]", file=sys.stderr)
+        print(f"{res.check_id}  [{res.seconds:.3f}s]", file=sys.stderr)
     payload = {
         "config": _config_echo(args, opts, {"fast": fast or None}),
         "results": [{"id": r.check_id, "description": r.description, "passed": r.passed}

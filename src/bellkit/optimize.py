@@ -10,9 +10,10 @@ G = z_1 (x) ... (x) z_n (bellop._fold over the 3-vectors).  A sweep carries
 the contraction of T with the factors already updated (a prefix) and the
 Kronecker products of the factors not yet visited (suffixes, built once per
 sweep), and reads the coefficients of a_j and a_j' from their product, in
-O(3^n) per sweep.  T is built once per state.  Dense operators remain only
-for the eigen step of max_eigen_settings and for re-verifying every reported
-optimum; product_bound_max builds only its (n-m)-qubit block operator.
+O(3^n) per sweep.  T is built once per state.  The eigen step of
+max_eigen_settings reads B_n's top eigenpair in closed form, so dense
+operators remain only for re-verifying every reported optimum;
+product_bound_max builds only its (n-m)-qubit block operator.
 
 Coordinate ascent converges linearly, and on generic states slowly.  When
 max_violation_settings sees its sweep gains shrink by less than
@@ -34,14 +35,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from . import criteria, symstate
-from .bellop import (_PAULIS, Settings, _correlation_tensor, _factors, _fold, _operator,
-                     bell_expectation)
+from .bellop import (_PAULIS, Settings, _correlation_tensor, _factors, _fold, _kron, _operator,
+                     _top_eigenpair, bell_expectation)
 from .qstate import PureState, State, _contract_leading, child_rng
 
 BACKTRACK_FACTOR = 0.5    # line-search shrink factor
@@ -104,7 +104,7 @@ def _suffixes(z: np.ndarray) -> list:
     for k = 0..n-1."""
     suffix = [np.ones(1)]
     for zk in z[:0:-1]:
-        suffix.append(np.kron(zk, suffix[-1]))
+        suffix.append(_kron((zk, suffix[-1])))
     return suffix
 
 
@@ -159,7 +159,7 @@ def _fold_derivatives(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
         middle = np.ones(1)             # z of the qubits strictly between j and k
         for k in range(j + 1, n):
             pair[j, k] = middle @ (rest.reshape(3, middle.size, 3, -1) @ suffix[n - 1 - k])
-            middle = np.kron(middle, z[k])
+            middle = _kron((middle, z[k]))
         prefix = z[j] @ rest
     grad = np.einsum("jx,ja->jxa", c, single).real
     hess = np.einsum("jx,ky,jkab->jxakyb", c, c, pair).real
@@ -291,17 +291,18 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
 def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
                        seed: int = 0) -> OptResult:
     """Maximize the largest eigenvalue of B_n over settings by alternating
-    top-eigenvector extraction with coordinate ascent on that eigenvector."""
+    the closed-form top eigenpair (bellop._top_eigenpair, no 2^n eigenproblem)
+    with coordinate ascent on that eigenvector; the reported optimum is
+    re-verified by dense eigvalsh."""
     if not 2 <= n <= 10:
         raise ValueError("eigenvalue optimization supports 2 <= n <= 10")
 
     def ascent(rng):
         vectors = _random_unit_vectors(rng, n)
         while True:
-            w, v = np.linalg.eigh(_operator(vectors))
-            yield float(w[-1]), None, vectors
-            eigvec = PureState(n, v[:, -1])
-            vectors, _ = _coordinate_sweep(_correlation_tensor(eigvec), vectors)
+            top, eigvec = _top_eigenpair(vectors)
+            yield float(top), None, vectors
+            vectors, _ = _coordinate_sweep(_correlation_tensor(PureState(n, eigvec)), vectors)
 
     def finish(vectors):
         return Settings(vectors), None, float(np.linalg.eigvalsh(_operator(vectors))[-1])
@@ -333,13 +334,13 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
         singles = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(m)]
         singles = [s / np.linalg.norm(s) for s in singles]
         while True:
-            state = PureState(n, reduce(np.kron, singles, block))
+            state = PureState(n, _kron([block, *singles]))
             corr = _correlation_tensor(state)
             yield float(_fold(vectors).real @ corr), None, (vectors, state)
             vectors, _ = _coordinate_sweep(corr, vectors)
             ops = np.einsum("ja,abc->jbc", _factors(vectors)[0], _PAULIS)    # z_j.sigma
             fixed = [np.vdot(s, op @ s) for s, op in zip(singles, ops[k:])]
-            g = np.prod(fixed) * reduce(np.kron, ops[:k])
+            g = np.prod(fixed) * _kron(ops[:k])
             block = np.linalg.eigh(g + g.conj().T)[1][:, -1]
             c_block = np.vdot(block, _contract_leading(block, ops[:k]).ravel())
             for i, op in enumerate(ops[k:]):

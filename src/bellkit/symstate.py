@@ -114,7 +114,7 @@ def parse_rational_complex(text: str) -> RationalComplex:
     if not s:
         raise ValueError("empty coefficient string")
     m = _re.fullmatch(
-        rf"(?P<re>[+-]?{_RATIONAL})?(?P<im>[+-]?(?:{_RATIONAL})?i)?", s)
+        rf"(?P<re>[+-]?{_RATIONAL}(?![\d/]*i))?(?P<im>[+-]?(?:{_RATIONAL})?i)?", s)
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ValueError(f"cannot parse coefficient {text!r}")
     re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)

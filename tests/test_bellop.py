@@ -460,6 +460,26 @@ class TestClosedFormSpectrum:
         res = bound_check(Settings(vectors))
         assert res.lambda_max_sq == pytest.approx(float(np.max(dense**2)), abs=1e-11)
 
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_top_eigenpair_matches_dense(self, n, seed, data):
+        vectors = random_unit_vectors(n, np.random.default_rng(seed))
+        # 0 keeps the pair generic, +1 / -1 forces a_j' = +-a_j, and "tilt"
+        # turns a_j' to about 1e-9 from a_j, where a_j x a_j' loses its digits
+        forced = data.draw(st.lists(st.sampled_from([0, 1, -1, "tilt"]), min_size=n,
+                                    max_size=n), label="forced")
+        for j, force in enumerate(forced):
+            if force == "tilt":
+                tilted = vectors[j, 0] + 1e-9 * vectors[j, 1]
+                vectors[j, 1] = tilted / np.linalg.norm(tilted)
+            elif force:
+                vectors[j, 1] = force * vectors[j, 0]
+        b = kron_chain_operator(vectors)
+        top, vec = bellop._top_eigenpair(vectors)
+        assert abs(top - np.linalg.eigvalsh(b)[-1]) <= 1e-12
+        assert np.linalg.norm(b @ vec - top * vec) <= 1e-12
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+
     def test_beyond_dense_operator_cap(self):
         with pytest.raises(ValueError, match="dense operator supports"):
             bound_check(ghz_optimal_settings(bellop.MAX_OPERATOR_QUBITS + 1))
@@ -478,6 +498,14 @@ class TestClosedFormSpectrum:
         assert spec[-1] == pytest.approx(top, abs=1e-12)
         assert spec[0] == pytest.approx(-top, abs=1e-12)
         assert np.max(np.abs(spec[1:-1])) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_top_eigenpair_at_ghz_settings(self, n):
+        # all pairs lie in the xy-plane, so each frame's e3 is exactly +z or,
+        # for n = 3 (mod 4), -z; the top eigenvector is the GHZ state
+        top, vec = bellop._top_eigenpair(ghz_optimal_settings(n).vectors)
+        assert top == pytest.approx(2.0 ** ((n + 1) / 2), abs=1e-12)
+        assert abs(np.vdot(ghz_pure(n).amp, vec)) == pytest.approx(1.0, abs=1e-12)
 
 
 def two_sign_ghz_settings(n: int) -> Settings:

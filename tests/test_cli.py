@@ -440,7 +440,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(verification, "run_all", lambda fast, res=res: [res])
             code, out, err = run_cli(capsys, "verify")
             assert code == 0
-            assert f"[{seconds:.1f}s]" in err
+            assert f"[{seconds:.3f}s]" in err
             outs.append(out)
         assert outs[0] == outs[1]
 

@@ -207,6 +207,25 @@ class TestMaxEigenSettings:
         assert max(t[-1] for t in res.traces) - res.best_value <= optimize.ASCENT_SLACK
         assert np.array_equal(res.best_settings.vectors, first.best_settings.vectors)
 
+    # traces of the dense eigh eigen step; the closed-form step keeps their
+    # lengths and statuses and every value within 1e-12
+    PINNED_TRACES = {
+        (3, 12): ((3.3997600895898876, 4.0, 4.0),
+                  (3.573187648032465, 4.000000000000003, 4.000000000000001),
+                  (3.421994084695424, 4.000000000000001, 4.000000000000001)),
+        (7, 11): ((11.77981828830303, 16.0, 16.0),
+                  (12.231392656997032, 16.000000000000004, 16.00000000000001),
+                  (10.598293177553593, 15.999999999999998, 16.000000000000014)),
+    }
+
+    @pytest.mark.parametrize("n,seed", list(PINNED_TRACES))
+    def test_pinned_traces(self, n, seed):
+        res = max_eigen_settings(n, restarts=3, tol=1e-9, seed=seed)
+        pinned = self.PINNED_TRACES[n, seed]
+        assert [len(t) for t in res.traces] == [len(t) for t in pinned]
+        assert res.statuses == ("converged",) * 3
+        assert max(abs(x - y) for t, u in zip(res.traces, pinned) for x, y in zip(t, u)) <= 1e-12
+
 
 class TestProductBoundMax:
     def test_two_qubits_one_free(self):

@@ -28,12 +28,17 @@ class TestRationalComplex:
         assert (a * a.conjugate()).re == a.abs2()
         assert complex(a) == 0.5 + 1j
 
-    @pytest.mark.parametrize("text", ["1", "-3", "1/2", "i", "-i", "2i",
-                                      "-2/3i", "1+2i", "1/2-3/4i", "0"])
+    PARSED = {"1": (1, 0), "-3": (-3, 0), "1/2": (Fraction(1, 2), 0), "i": (0, 1),
+              "-i": (0, -1), "2i": (0, 2), "-2/3i": (0, Fraction(-2, 3)), "1+2i": (1, 2),
+              "1/2-3/4i": (Fraction(1, 2), Fraction(-3, 4)), "0": (0, 0)}
+
+    @pytest.mark.parametrize("text", list(PARSED))
     def test_parse_format_round_trip(self, text):
+        # a numeral right before i belongs to the imaginary part: "2i" is 2i, not 2 + i
         value = parse_rational_complex(text)
-        again = parse_rational_complex(str(value))
-        assert value == again
+        assert value == RationalComplex(*map(Fraction, self.PARSED[text]))
+        assert str(value) == text
+        assert parse_rational_complex(str(value)) == value
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -292,3 +297,12 @@ class TestJson:
         symstate.save_sym(path, ghz(4, -1))
         loaded = symstate.load_sym(path)
         assert loaded.coeff == ghz(4, -1).coeff
+
+    def test_file_round_trip_pure_imaginary(self, tmp_path):
+        path = tmp_path / "sym.json"
+        state = SymState(3, [1, 0, RationalComplex(Fraction(0), Fraction(-2, 3)),
+                             RationalComplex(Fraction(0), Fraction(2))])
+        symstate.save_sym(path, state)
+        loaded = symstate.load_sym(path)
+        assert loaded.exact
+        assert loaded.coeff == state.coeff

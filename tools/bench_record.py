@@ -11,8 +11,7 @@ From the root of a bellkit checkout this runs, one after another:
 * the Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
   with ``src`` on the path): wall time, and the counts pytest reports;
 * the full ``bellkit verify`` battery: the seconds of each check, read from
-  stderr (the ``--fast`` battery reads 0.0 s for most checks at the 0.1 s
-  resolution of that line);
+  stderr, where ``verify`` prints them to the millisecond;
 
 and writes them as JSON with the machine (cores, Python, numpy), the repeat
 count and the line count of ``src/``.
