@@ -44,8 +44,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .qstate import (PAULI_X, PAULI_Y, PAULI_Z, PureState, State, UNIT_ATOL, _contract_pairs,
-                     _read_json, require_finite)
+from .qstate import (PAULI_X, PAULI_Y, PAULI_Z, PureState, State, _contract_pairs, _read_json,
+                     as_bases, require_finite)
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
@@ -65,9 +65,7 @@ class Settings:
         arr = require_finite(np.array(self.vectors, dtype=float), "measurement directions")
         if arr.ndim != 3 or arr.shape[1:] != (2, 3) or arr.shape[0] < 1:
             raise ValueError(f"expected shape (n, 2, 3), got {arr.shape}")
-        norms = np.linalg.norm(arr, axis=2)
-        if np.max(np.abs(norms - 1.0)) > UNIT_ATOL:
-            raise ValueError("all measurement directions must be unit vectors")
+        as_bases(arr.reshape(-1, 3), 2 * arr.shape[0])
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 

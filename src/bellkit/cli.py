@@ -113,8 +113,7 @@ def _cmd_bellmax(args) -> int:
                            "tol": DEFAULT_TOL})
     n = opts["n"]
     if n is None or n < 2:
-        print("bellmax requires --n >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("bellmax requires --n >= 2")
     res = optimize.max_eigen_settings(n, restarts=opts["restarts"], tol=opts["tol"],
                                       seed=opts["seed"])
     target = 2.0 ** ((n + 1) / 2)
@@ -141,8 +140,7 @@ def _cmd_certify(args) -> int:
     echo = _config_echo(args, opts, {"estimate": estimate_mode or None})
     if estimate_mode:
         if not opts["state"] or not opts["settings"]:
-            print("--estimate needs --state and --settings files", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--estimate needs --state and --settings files")
         state = qstate.load_state(opts["state"])
         st = bellop.Settings.load(opts["settings"])
         est = certify.estimate_E(state, st, opts["shots"], opts["seed"])
@@ -155,11 +153,7 @@ def _cmd_certify(args) -> int:
     else:
         n, value = opts["n"], opts["E"]
         if n is None or value is None:
-            print("exact mode needs --n and --E", file=sys.stderr)
-            return EXIT_USAGE
-        if value < 0:
-            print("E must be nonnegative", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("exact mode needs --n and --E")
         epsilon = certify.EXACT_EPSILON if opts["epsilon"] is None else opts["epsilon"]
         result = certify.certify_depth(value, n, epsilon)
         payload = {"config": echo, "certificate": result.to_json()}
@@ -186,8 +180,7 @@ def _cmd_criteria(args) -> int:
     if which == "fragility":
         state = qstate.load_state(opts["state"])
         if not isinstance(state, qstate.PureState):
-            print("fragility needs a pure-state file", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("fragility needs a pure-state file")
         rep = criteria.fragility(state)
         body = {"fragility": rep.fragility, "is_maximal": rep.is_maximal,
                 "bloch": [list(map(float, b)) for b in rep.bloch]}
@@ -204,8 +197,7 @@ def _cmd_criteria(args) -> int:
     else:
         n, k = opts["n"], opts["k"]
         if n is None or k is None:
-            print("distribute needs --n and --k", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("distribute needs --n and --k")
         trials = 200 if opts["trials"] is None else opts["trials"]
         rep = criteria.distribute_check(n, k, trials, opts["seed"])
         body = {"n": rep.n, "k": rep.k, "trials": rep.trials,
@@ -220,21 +212,18 @@ def _cmd_basis(args) -> int:
     opts = _resolve(args, {"n": None, "state": None, "to": "x"})
     n, to = opts["n"], opts["to"]
     if to not in ("x", "y"):
-        print("--to must be x or y", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--to must be x or y")
     if opts["state"]:
         sym = symstate.load_sym(opts["state"])
         if to == "y":
-            print("general z -> y conversion is unsupported (GHZ only)", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("general z -> y conversion is unsupported (GHZ only)")
         converted, scale = symstate.z_to_x(sym)
         tables = [{"input": symstate.sym_to_json(sym),
                    "output": symstate.sym_to_json(converted),
                    "scale": str(scale)}]
     else:
         if n is None or n < 1:
-            print("basis requires --n >= 1 (or --state FILE)", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("basis requires --n >= 1 (or --state FILE)")
         tables = []
         for sign in (1, -1):
             g = symstate.ghz(n, sign)
@@ -264,8 +253,7 @@ def _cmd_bellbasis(args) -> int:
     opts = _resolve(args, {"n": None})
     n = opts["n"]
     if n is None or n < 2:
-        print("bellbasis requires --n >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("bellbasis requires --n >= 2")
     states = symstate.bell_basis(n)
     vecs = np.array([s.to_pure().amp for s in states])
     gram_err = float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(2**n))))

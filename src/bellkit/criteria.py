@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from . import symstate
-from .qstate import (DensityMatrix, PureState, State, as_bases, child_rng, fidelity,
+from .qstate import (DensityMatrix, PureState, State, child_rng, fidelity,
                      measure_sample, outcome_distribution, partial_trace, pauli_expect,
                      spectrum, x_bases, z_bases)
 
@@ -134,7 +134,6 @@ def mutual_information(state: State, bases) -> float:
     qubit is measured simultaneously along ``bases``:
     sum_j H(a_j) - H(a_1, ..., a_n), with 0 log 0 = 0."""
     n = state.n
-    as_bases(bases, n)
     joint = outcome_distribution(state, bases)
     tensor = joint.reshape([2] * n)
     total = -_entropy_bits(joint)

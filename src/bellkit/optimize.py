@@ -34,6 +34,7 @@ ended: "converged", "stalled" or "capped" (see RESTART_STATUSES).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,7 +129,7 @@ def _coordinate_sweep(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
         rest = prefix.reshape(3, -1)    # axes j..n-1 of T, qubits before j contracted
         g = (c[j, :, None] * (rest @ suffix[n - 1 - j])).real
         for which in (0, 1):
-            norm = float(np.linalg.norm(g[which]))
+            norm = math.sqrt(g[which] @ g[which])
             if norm > 1e-14:
                 vectors[j, which] = g[which] / norm
         prefix = (c[j] @ vectors[j]) @ rest

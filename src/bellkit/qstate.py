@@ -72,16 +72,6 @@ def require_finite(values, what: str) -> np.ndarray:
     return arr
 
 
-def require_unit(d: Sequence[float]) -> np.ndarray:
-    """Return d as a float array, raising unless ||d|| = 1 within UNIT_ATOL."""
-    v = np.asarray(d, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_ATOL:
-        raise ValueError(f"direction must be unit norm, got |d| = {np.linalg.norm(v)!r}")
-    return v
-
-
 def as_bases(bases, n: int) -> np.ndarray:
     """Coerce per-qubit measurement directions to an (n, 3) array of unit vectors."""
     arr = np.asarray(bases, dtype=float)
@@ -99,10 +89,6 @@ def z_bases(n: int) -> np.ndarray:
 
 def x_bases(n: int) -> np.ndarray:
     return np.tile([1.0, 0.0, 0.0], (n, 1))
-
-
-def y_bases(n: int) -> np.ndarray:
-    return np.tile([0.0, 1.0, 0.0], (n, 1))
 
 
 def _check_n(n: int) -> int:
@@ -232,9 +218,8 @@ def _check_qubit(qubit: int, n: int) -> int:
 
 def pauli_expect(state: State, qubit: int, d: Sequence[float]) -> float:
     """Expectation <d.sigma> on one qubit; d must be a unit vector."""
-    v = require_unit(d)
     q = _check_qubit(qubit, state.n)
-    op = pauli_dot(v)
+    op = pauli_dot(as_bases([d], 1)[0])
     if isinstance(state, PureState):
         a = np.moveaxis(state.amp.reshape([2] * state.n), q - 1, 0).reshape(2, -1)
         return float(np.vdot(a, op @ a).real)
@@ -256,23 +241,14 @@ def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep set must be nonempty")
     if len(kept) == n:
         raise ValueError("keep set must be a proper subset of the qubits")
-    keep0 = [q - 1 for q in kept]
-    k = len(keep0)
+    k = len(kept)
+    order = [q - 1 for q in kept] + [q for q in range(n) if q + 1 not in kept]
     if isinstance(state, PureState):
-        rest = [q for q in range(n) if q not in keep0]
-        arr = state.amp.reshape([2] * n).transpose(keep0 + rest).reshape(2**k, 2 ** (n - k))
+        arr = state.amp.reshape([2] * n).transpose(order).reshape(2**k, 2 ** (n - k))
         return DensityMatrix(k, arr @ arr.conj().T)
-    arr = state.mat.reshape([2] * (2 * n))
-    traced = [q for q in range(n) if q not in keep0]
-    row: dict[int, int] = {}
-    col: dict[int, int] = {}
-    for p, q in enumerate(keep0):
-        row[q], col[q] = p, k + p
-    for t, q in enumerate(traced):
-        row[q] = col[q] = 2 * k + t
-    subs = [row[q] for q in range(n)] + [col[q] for q in range(n)]
-    out = np.einsum(arr, subs, list(range(2 * k)))
-    return DensityMatrix(k, out.reshape(2**k, 2**k))
+    arr = state.mat.reshape([2] * (2 * n)).transpose(order + [n + q for q in order])
+    arr = arr.reshape(2**k, 2 ** (n - k), 2**k, 2 ** (n - k))
+    return DensityMatrix(k, np.einsum("ajbj->ab", arr))
 
 
 def spectrum(h: Union[np.ndarray, DensityMatrix]) -> Spectrum:

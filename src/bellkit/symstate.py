@@ -290,18 +290,8 @@ def z_to_x(state: SymState) -> tuple[SymState, Fraction]:
     """
     if state.basis_label != "z":
         raise ValueError("z_to_x expects a z-basis state")
-    beta = z_to_x_matrix(state.n)
-    exact = state.exact
-    coeffs: list = []
-    for ell in range(state.n + 1):
-        if exact:
-            total = RC_ZERO
-            for j, c in enumerate(state.coeff):
-                if beta[j][ell]:
-                    total = total + c.scale(Fraction(beta[j][ell]))
-        else:
-            total = sum(c * beta[j][ell] for j, c in enumerate(state.coeff))
-        coeffs.append(total)
+    # sum_j c_j beta[j][l] is the x-label amplitude sum of _amp_by_weight
+    coeffs = _amp_by_weight(SymState(state.n, state.coeff, basis_label="x"))
     return SymState(state.n, coeffs, basis_label="x"), Fraction(1, 2**state.n)
 
 

@@ -258,6 +258,11 @@ def check_mm_partial_states(fast: bool = False, seed: int = DEFAULT_SEED) -> Che
         {"max_state_residual": max(residuals.values()), "n5_floor": search.best_value})
 
 
+def _ket(n: int, j: int) -> symstate.SymState:
+    """The z-basis symmetric ket |j,n>, with exact coefficients."""
+    return symstate.SymState(n, [1 if i == j else 0 for i in range(n + 1)])
+
+
 @_timed
 def check_symmetric_identities(fast: bool = False) -> CheckResult:
     """Inner products, split decomposition, z->x transform and the GHZ x/y
@@ -268,29 +273,22 @@ def check_symmetric_identities(fast: bool = False) -> CheckResult:
     for n in range(1, top + 1):
         for j in range(n + 1):
             for k in range(n + 1):
-                basis_j = symstate.SymState(n, [1 if i == j else 0 for i in range(n + 1)])
-                basis_k = symstate.SymState(n, [1 if i == k else 0 for i in range(n + 1)])
-                ip = complex(np.vdot(symstate.embed_vector(basis_j),
-                                     symstate.embed_vector(basis_k)))
+                ip = complex(np.vdot(symstate.embed_vector(_ket(n, j)),
+                                     symstate.embed_vector(_ket(n, k))))
                 ok = ok and abs(ip - symstate.inner(j, k, n)) < 1e-9
     for n in range(2, top + 1):
         for m in range(1, n):
             for j in range(n + 1):
-                lhs = symstate.embed_vector(
-                    symstate.SymState(n, [1 if i == j else 0 for i in range(n + 1)]))
+                lhs = symstate.embed_vector(_ket(n, j))
                 rhs = np.zeros(2**n, dtype=complex)
                 for k, coeff in symstate.split(j, n, m):
-                    left = symstate.embed_vector(
-                        symstate.SymState(m, [1 if i == k else 0 for i in range(m + 1)]))
-                    right = symstate.embed_vector(
-                        symstate.SymState(n - m,
-                                          [1 if i == j - k else 0 for i in range(n - m + 1)]))
-                    rhs += coeff * np.kron(left, right)
+                    rhs += coeff * np.kron(symstate.embed_vector(_ket(m, k)),
+                                           symstate.embed_vector(_ket(n - m, j - k)))
                 ok = ok and np.array_equal(lhs, rhs)
     for n in range(1, top + 1):
         scales = set()
         for j in range(n + 1):
-            state = symstate.SymState(n, [1 if i == j else 0 for i in range(n + 1)])
+            state = _ket(n, j)
             xs, scale = symstate.z_to_x(state)
             lhs = symstate.embed_vector(state)
             rhs = float(scale) * symstate.embed_vector(xs)

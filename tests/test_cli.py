@@ -337,6 +337,52 @@ class TestBellBasis:
         assert len(lines) == 5
 
 
+def _handler_usage_error(tmp_path, case):
+    """argv and the message of one command handler's own usage error."""
+    if case == "fragility-density-matrix":
+        path = tmp_path / "rho.json"
+        qstate.save_state(path, ghz_pure(2).to_density())
+        return (["criteria", "--which", "fragility", "--state", str(path)],
+                "fragility needs a pure-state file")
+    if case == "basis-config-to-z":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\nto = z\n")
+        return ["basis", "--config", str(cfg)], "--to must be x or y"
+    if case == "basis-state-to-y":
+        path = tmp_path / "w.json"
+        symstate.save_sym(path, symstate.SymState(3, [0, 1, 0, 0]))
+        return (["basis", "--state", str(path), "--to", "y"],
+                "general z -> y conversion is unsupported (GHZ only)")
+    return {
+        "bellmax-n1": (["bellmax", "--n", "1"], "bellmax requires --n >= 2"),
+        "certify-exact-without-E": (["certify", "--n", "3"], "exact mode needs --n and --E"),
+        "certify-negative-E": (["certify", "--n", "3", "--E", "-1"],
+                               "expectation value must be nonnegative"),
+        "certify-estimate-without-files": (["certify", "--estimate"],
+                                           "--estimate needs --state and --settings files"),
+        "distribute-without-k": (["criteria", "--which", "distribute", "--n", "3"],
+                                 "distribute needs --n and --k"),
+        "basis-without-n": (["basis"], "basis requires --n >= 1 (or --state FILE)"),
+        "bellbasis-without-n": (["bellbasis"], "bellbasis requires --n >= 2"),
+    }[case]
+
+
+class TestHandlerUsageErrors:
+    """Each handler raises its usage error, and main alone prints it."""
+
+    @pytest.mark.parametrize("case", ["bellmax-n1", "certify-exact-without-E",
+                                      "certify-negative-E", "certify-estimate-without-files",
+                                      "fragility-density-matrix", "distribute-without-k",
+                                      "basis-without-n", "basis-state-to-y",
+                                      "basis-config-to-z", "bellbasis-without-n"])
+    def test_exit_2_with_error_prefix(self, capsys, tmp_path, case):
+        argv, message = _handler_usage_error(tmp_path, case)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -311,6 +311,35 @@ class TestPartialTrace:
         assert np.allclose(p1, p2, atol=1e-10)
 
 
+def partial_trace_subscripts(rho: DensityMatrix, keep) -> np.ndarray:
+    """Reference: the mixed partial trace as one einsum over the 2n qubit
+    axes, kept row and column axes labelled in ascending order and each
+    traced qubit's row and column sharing one label."""
+    n = rho.n
+    keep0 = sorted(q - 1 for q in keep)
+    k = len(keep0)
+    traced = [q for q in range(n) if q not in keep0]
+    row, col = {}, {}
+    for p, q in enumerate(keep0):
+        row[q], col[q] = p, k + p
+    for t, q in enumerate(traced):
+        row[q] = col[q] = 2 * k + t
+    subs = [row[q] for q in range(n)] + [col[q] for q in range(n)]
+    out = np.einsum(rho.mat.reshape([2] * (2 * n)), subs, list(range(2 * k)))
+    return DensityMatrix(k, out.reshape(2**k, 2**k)).mat
+
+
+class TestPartialTraceMatchesSubscripts:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_every_keep_set_bit_identical(self, n, rank, seed):
+        rho = random_density(n, np.random.default_rng(seed), rank=rank)
+        for k in range(1, n):
+            for keep in itertools.combinations(range(1, n + 1), k):
+                assert np.array_equal(partial_trace(rho, keep).mat,
+                                      partial_trace_subscripts(rho, keep))
+
+
 class TestQubitIndex:
     @pytest.mark.parametrize("bad", [1.9, 2.5, 2.0, np.float64(1.0), True, np.True_, "1"])
     def test_non_integer_index_rejected(self, bad):

@@ -212,6 +212,62 @@ class TestZToX:
             z_to_x(xs)
 
 
+def z_to_x_double_sum(state: SymState) -> SymState:
+    """Reference: the x-label coefficients sum_j c_j beta[j][l] as z_to_x
+    summed them on its own, with an exact and a numeric branch."""
+    beta = symstate.z_to_x_matrix(state.n)
+    coeffs = []
+    for ell in range(state.n + 1):
+        if state.exact:
+            total = symstate.RC_ZERO
+            for j, c in enumerate(state.coeff):
+                if beta[j][ell]:
+                    total = total + c.scale(Fraction(beta[j][ell]))
+        else:
+            total = sum(c * beta[j][ell] for j, c in enumerate(state.coeff))
+        coeffs.append(total)
+    return SymState(state.n, coeffs, basis_label="x")
+
+
+def _coefficient_bits(state: SymState) -> list:
+    if state.exact:
+        return [(c.re, c.im) for c in state.coeff]
+    return [(c.real.hex(), c.imag.hex()) for c in state.coeff]
+
+
+gaussian_rationals = st.builds(RationalComplex,
+                               st.fractions(max_denominator=12).filter(lambda f: abs(f) < 50),
+                               st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=12)))
+numeric_coefficients = st.one_of(st.just(0j), st.integers(-5, 5).map(complex),
+                                 st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                                    allow_infinity=False))
+
+
+class TestZToXMatchesDoubleSum:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.one_of(gaussian_rationals, st.integers(-4, 4)),
+                           min_size=n + 1, max_size=n + 1)))
+    def test_exact_coefficients(self, values):
+        state = SymState(len(values) - 1, values)
+        xs, scale = z_to_x(state)
+        ref = z_to_x_double_sum(state)
+        assert xs.exact and scale == Fraction(1, 2**state.n)
+        assert _coefficient_bits(xs) == _coefficient_bits(ref)
+        assert sym_to_json(xs) == sym_to_json(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(numeric_coefficients, min_size=n + 1, max_size=n + 1)))
+    def test_numeric_coefficients(self, values):
+        state = SymState(len(values) - 1, values)
+        xs, _ = z_to_x(state)
+        ref = z_to_x_double_sum(state)
+        assert not xs.exact
+        assert _coefficient_bits(xs) == _coefficient_bits(ref)
+        assert sym_to_json(xs) == sym_to_json(ref)
+
+
 class TestGhzYForm:
     def test_n2_plus(self):
         state = ghz_y_form(2, 1)

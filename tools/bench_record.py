@@ -15,6 +15,12 @@ From the root of a bellkit checkout this runs, one after another:
 
 and writes them as JSON with the machine (cores, Python, numpy), the repeat
 count and the line count of ``src/``.
+
+Figures from different ``BENCH_*.json`` files are not comparable on a shared
+machine: each file is recorded at another time, under another load, and a
+workload that calls no changed code can move by a third between two files.
+A speed claim rests on paired, alternating runs of the parent and the
+change, not on the difference between two files.
 """
 
 from __future__ import annotations
