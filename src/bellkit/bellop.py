@@ -13,7 +13,8 @@ z_j = c_j0 A_j + c_j1 A_j', c_1 = (2, 2i) and c_j = ((1-i)/2, (1+i)/2) for
 j >= 2 (_factors).  _fold builds G; the factor pairs choose the algebra, and
 each caller takes what it needs from G:
 
-    Pauli matrices (a_j.sigma, a_j'.sigma)   B_n = (G + G^dagger)/2
+    Pauli matrices (a_j.sigma, a_j'.sigma)   the dense B_n = (G + G^dagger)/2 (bell_operator)
+      (_pauli_factors)                        and <B_n> = Re tr(rho G) (bell_expectation)
     the 3-vectors (a_j, a_j')                 Pauli weights W_n = Re G, <B_n> = W_n . T
     unit pair (e_0, e_1)                      the 2^n correlator coefficients, Re G
     +-1 pair ([1,1,-1,-1], [1,-1,1,-1])       F_n = Re G and F_n' = Im G on all 4^n
@@ -44,15 +45,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .qstate import (PAULI_X, PAULI_Y, PAULI_Z, PureState, State, _contract_pairs, _read_json,
-                     as_bases, require_finite)
+from .qstate import (MAX_QUBITS, PAULI_X, PAULI_Y, PAULI_Z, PureState, State, _contract_leading,
+                     _contract_pairs, _read_json, as_bases, require_finite)
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
 MAX_ENUM_QUBITS = 10       # 4^n assignment enumeration
 OPERATOR_MATCH_ATOL = 1e-10
 BOUND_SLACK = 1e-8
-EXPECTATION_IMAG_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,12 @@ def _kron(factors) -> np.ndarray:
         np.prod(out.shape[::2]), -1)
 
 
+def _pauli_factors(vectors: np.ndarray) -> np.ndarray:
+    """The factors z_j.sigma of G over the pairs (a_j.sigma, a_j'.sigma), shape
+    (n, 2, 2), for arbitrary (possibly non-unit) 3-vectors."""
+    return np.einsum("ja,abc->jbc", _factors(vectors)[0], _PAULIS)
+
+
 def _fold(pairs) -> np.ndarray:
     """G = F_n + i F_n' = z_1 (x) ... (x) z_n from the factor pairs
     (A_j, A_j'), j = 1..n."""
@@ -226,18 +232,6 @@ def expand_correlators(n: int) -> CorrelatorPoly:
                               in zip(itertools.product((0, 1), repeat=n), table) if v})
 
 
-def _operator(vectors: np.ndarray) -> np.ndarray:
-    """Dense B_n = (G + G^dagger)/2 for arbitrary (possibly non-unit)
-    3-vectors, with G folded over the pairs (a_j.sigma, a_j'.sigma).
-    Multilinear in each direction, which the optimizers in
-    :mod:`bellkit.optimize` exploit."""
-    v = vectors[..., None, None]
-    g = _fold(v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z)
-    g += g.conj().T
-    g *= 0.5
-    return g
-
-
 # Row mu holds sigma_mu[j, i] at the interleaved index 2i + j, so that a row
 # dotted with the (i, j) pair of one qubit of rho gives tr(rho sigma_mu).
 _PAULI_TRACE_ROWS = np.array([p.T.ravel() for p in _PAULIS])
@@ -253,24 +247,23 @@ def _correlation_tensor(state: State) -> np.ndarray:
 
 
 def bell_operator(st: Settings) -> np.ndarray:
-    """Dense Hermitian B_n for the given settings."""
+    """Dense B_n = (G + G^dagger)/2, G the Kronecker product of _pauli_factors."""
     if st.n > MAX_OPERATOR_QUBITS:
         raise ValueError(f"dense operator supports n <= {MAX_OPERATOR_QUBITS}")
-    return _operator(st.vectors)
+    g = _kron(_pauli_factors(st.vectors))
+    g += g.conj().T
+    g *= 0.5
+    return g
 
 
 def bell_expectation(state: State, st: Settings) -> float:
-    """<B_n> in the given state; the imaginary part must vanish."""
+    """<B_n> = Re tr(rho G), contracting the state with each z_j.sigma in turn."""
     if state.n != st.n:
         raise ValueError(f"state has {state.n} qubits but settings have {st.n}")
-    b = bell_operator(st)
+    ops = _pauli_factors(st.vectors)
     if isinstance(state, PureState):
-        val = complex(np.vdot(state.amp, b @ state.amp))
-    else:
-        val = complex(np.einsum("ij,ji->", state.mat, b))
-    if abs(val.imag) > EXPECTATION_IMAG_ATOL:
-        raise RuntimeError(f"expectation has imaginary part {val.imag!r}")
-    return float(val.real)
+        return float(np.vdot(state.amp, _contract_leading(state.amp, ops).ravel()).real)
+    return float(_contract_pairs(state.mat, [op.T.reshape(1, 4) for op in ops])[0])
 
 
 def _flip_weights(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,8 +325,8 @@ class BoundCheck:
 
 def bound_check(st: Settings) -> BoundCheck:
     """Largest eigenvalue of B_n^2 (from _spectrum) against its cap 2^(n+1)."""
-    if st.n > MAX_OPERATOR_QUBITS:
-        raise ValueError(f"dense operator supports n <= {MAX_OPERATOR_QUBITS}")
+    if st.n > MAX_QUBITS:
+        raise ValueError(f"bound_check supports n <= {MAX_QUBITS}")
     lam_sq = float(np.max(_spectrum(st.vectors) ** 2))
     bound = 2.0 ** (st.n + 1)
     return BoundCheck(lam_sq, bound, lam_sq <= bound + BOUND_SLACK)

@@ -2,9 +2,9 @@
 
 If at least k of the n qubits carry independent outcomes, the achievable
 expectation is capped at bound(k) = 2^((n-k+1)/2).  Measuring a value above
-bound(k) therefore rules out k independent qubits, and the largest k still
-consistent with the measurement bounds the entanglement depth from below:
-at least n - k qubits are mutually entangled.
+bound(k) therefore rules out k independent qubits: at least n - k qubits are
+each entangled with some other qubit.  This does not bound the size of the
+largest entangled group: GHZ_3 (x) GHZ_3 reaches 2^(5/2) > bound(2) at n = 6.
 """
 
 from __future__ import annotations

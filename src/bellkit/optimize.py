@@ -11,9 +11,9 @@ the contraction of T with the factors already updated (a prefix) and the
 Kronecker products of the factors not yet visited (suffixes, built once per
 sweep), and reads the coefficients of a_j and a_j' from their product, in
 O(3^n) per sweep.  T is built once per state.  The eigen step of
-max_eigen_settings reads B_n's top eigenpair in closed form, so dense
-operators remain only for re-verifying every reported optimum;
-product_bound_max builds only its (n-m)-qubit block operator.
+max_eigen_settings reads B_n's top eigenpair in closed form, so only its
+re-check of the reported optimum builds a dense B_n; product_bound_max
+builds only the operators of its product state's parts.
 
 Coordinate ascent converges linearly, and on generic states slowly.  When
 max_violation_settings sees its sweep gains shrink by less than
@@ -41,9 +41,9 @@ from typing import Optional
 import numpy as np
 
 from . import criteria, symstate
-from .bellop import (_PAULIS, Settings, _correlation_tensor, _factors, _fold, _kron, _operator,
-                     _top_eigenpair, bell_expectation)
-from .qstate import PureState, State, _contract_leading, child_rng
+from .bellop import (Settings, _correlation_tensor, _factors, _fold, _kron, _pauli_factors,
+                     _top_eigenpair, bell_expectation, bell_operator)
+from .qstate import PureState, State, child_rng
 
 BACKTRACK_FACTOR = 0.5    # line-search shrink factor
 MAX_ITERATIONS = 500      # per-restart iteration cap
@@ -306,7 +306,8 @@ def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
             vectors, _ = _coordinate_sweep(_correlation_tensor(PureState(n, eigvec)), vectors)
 
     def finish(vectors):
-        return Settings(vectors), None, float(np.linalg.eigvalsh(_operator(vectors))[-1])
+        st = Settings(vectors)
+        return st, None, float(np.linalg.eigvalsh(bell_operator(st))[-1])
 
     return _multistart(ascent, finish, restarts, seed, tol)
 
@@ -318,36 +319,35 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
     settings.  The optimum is 2^((n-m+1)/2): m independent qubits cap the
     achievable value at the n-m qubit quantum maximum.
 
-    Alternates (a) a settings sweep, (b) the block state and (c) each product
-    qubit in turn, every step an exact subproblem optimum, so the objective
-    never decreases.  Fixing qubit q in |s_q> scales G = z_1.sigma (x) ...
-    (x) z_n.sigma by <s_q|z_q.sigma|s_q>, so (b) is the top eigenvector of
-    c G_block + h.c., c the product of these factors, and (c) that of
-    c z_q.sigma + h.c., c = <block|G_block|block> times the other factors."""
+    The state's parts are the block and the m qubits.  A step is a settings
+    sweep, then one exact update per part, so the objective never decreases.
+    G = z_1.sigma (x) ... (x) z_n.sigma is the product of the parts' operators
+    op_b (_kron of their qubits' z_j.sigma), so with the other parts fixed
+    part b is the top eigenvector of c_b op_b + h.c., c_b the product of
+    the other parts' <p|op|p>."""
     if not 1 <= m < n <= 8:
         raise ValueError("need 1 <= m < n <= 8")
-    k = n - m
+    sizes = [n - m] + [1] * m
+    edges = np.cumsum([0, *sizes])
 
     def ascent(rng):
         vectors = _random_unit_vectors(rng, n)
-        block = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
-        block /= np.linalg.norm(block)
-        singles = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(m)]
-        singles = [s / np.linalg.norm(s) for s in singles]
+        parts = []
+        for size in sizes:
+            part = rng.normal(size=2**size) + 1j * rng.normal(size=2**size)
+            parts.append(part / np.linalg.norm(part))
         while True:
-            state = PureState(n, _kron([block, *singles]))
+            state = PureState(n, _kron(parts))
             corr = _correlation_tensor(state)
             yield float(_fold(vectors).real @ corr), None, (vectors, state)
             vectors, _ = _coordinate_sweep(corr, vectors)
-            ops = np.einsum("ja,abc->jbc", _factors(vectors)[0], _PAULIS)    # z_j.sigma
-            fixed = [np.vdot(s, op @ s) for s, op in zip(singles, ops[k:])]
-            g = np.prod(fixed) * _kron(ops[:k])
-            block = np.linalg.eigh(g + g.conj().T)[1][:, -1]
-            c_block = np.vdot(block, _contract_leading(block, ops[:k]).ravel())
-            for i, op in enumerate(ops[k:]):
-                h = c_block * np.prod(fixed[:i] + fixed[i + 1:]) * op
-                singles[i] = np.linalg.eigh(h + h.conj().T)[1][:, -1]
-                fixed[i] = np.vdot(singles[i], op @ singles[i])
+            factors = _pauli_factors(vectors)
+            ops = [_kron(factors[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+            fixed = [np.vdot(p, op @ p) for p, op in zip(parts, ops)]
+            for b, op in enumerate(ops):
+                h = np.prod(fixed[:b] + fixed[b + 1:]) * op
+                parts[b] = np.linalg.eigh(h + h.conj().T)[1][:, -1]
+                fixed[b] = np.vdot(parts[b], op @ parts[b])
 
     def finish(point):
         vectors, state = point

@@ -354,9 +354,9 @@ def _contract_leading(amp: np.ndarray, rows) -> np.ndarray:
 def _contract_pairs(mat: np.ndarray, weights) -> np.ndarray:
     """Contract each qubit's (row, col) index pair of a 2^n x 2^n Hermitian
     matrix with that qubit's weight rows, ``weights[j]`` of shape (K_j, 4)
-    holding the weight of pair (i, j) at column 2i + j.  Every row weighs a
-    Hermitian 2x2 matrix, so the prod K_j results are real; they come back
-    flattened with qubit 1 most significant."""
+    holding the weight of pair (i, j) at column 2i + j.  The real parts of
+    the prod K_j results come back (the results are real when every row
+    weighs a Hermitian 2x2 matrix), flattened with qubit 1 most significant."""
     n = len(weights)
     arr = mat.reshape((2,) * (2 * n)).transpose([ax for q in range(n) for ax in (q, n + q)])
     for w in weights:

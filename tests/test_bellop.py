@@ -11,7 +11,7 @@ from bellkit import bellop, optimize
 from bellkit.bellop import (Assignment, Settings, bell_expectation,
                             bell_operator, bound_check, expand_correlators,
                             f_classical, f_prime, ghz_optimal_settings, lhv_max)
-from bellkit.qstate import PAULI_X, PAULI_Y, PAULI_Z, PureState, pauli_dot
+from bellkit.qstate import MAX_QUBITS, PAULI_X, PAULI_Y, PAULI_Z, PureState, pauli_dot
 from bellkit.symstate import bell_basis
 
 from conftest import (ghz_pure, kron_chain_operator, random_density, random_pure,
@@ -300,7 +300,8 @@ class TestBellOperator:
 
 
 class TestBellExpectation:
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    # n = 13, 14 lie beyond the dense operator's MAX_OPERATOR_QUBITS
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 13, 14])
     def test_ghz_saturates(self, n):
         val = bell_expectation(ghz_pure(n), ghz_optimal_settings(n))
         assert val == pytest.approx(2 ** ((n + 1) / 2), abs=1e-9)
@@ -343,8 +344,16 @@ class TestBellExpectation:
         rng = np.random.default_rng(seed)
         state = random_density(n, rng) if mixed else random_pure(n, rng)
         vectors = random_unit_vectors(n, rng)
+        value = bell_expectation(state, Settings(vectors))
         via_tensor = bellop._fold(vectors).real @ bellop._correlation_tensor(state)
-        assert via_tensor == pytest.approx(bell_expectation(state, Settings(vectors)), abs=1e-10)
+        assert via_tensor == pytest.approx(value, abs=1e-10)
+        b = kron_chain_operator(vectors)
+        if mixed:
+            dense = complex(np.trace(state.mat @ b))
+        else:
+            dense = complex(np.vdot(state.amp, b @ state.amp))
+        assert abs(dense.imag) <= 1e-10
+        assert dense.real == pytest.approx(value, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -384,9 +393,9 @@ class TestRankOneForm:
         z = [2 * (vectors[0, 0] + 1j * vectors[0, 1])]
         z += [((1 - 1j) * a + (1 + 1j) * ap) / 2 for a, ap in vectors[1:]]
         g = reduce(np.kron, [zj[0] * PAULI_X + zj[1] * PAULI_Y + zj[2] * PAULI_Z for zj in z])
-        b = bellop._operator(vectors)
-        scale = max(1.0, float(np.max(np.abs(b))))
-        assert np.max(np.abs(b - 0.5 * (g + g.conj().T))) <= 1e-13 * scale
+        got = bellop._kron(bellop._pauli_factors(vectors))
+        scale = max(1.0, float(np.max(np.abs(g))))
+        assert np.max(np.abs(got - g)) <= 1e-13 * scale
 
 
 def block_product_state(n: int, m: int, rng: np.random.Generator) -> PureState:
@@ -481,8 +490,14 @@ class TestClosedFormSpectrum:
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
     def test_beyond_dense_operator_cap(self):
-        with pytest.raises(ValueError, match="dense operator supports"):
-            bound_check(ghz_optimal_settings(bellop.MAX_OPERATOR_QUBITS + 1))
+        # bound_check builds no dense operator, so it follows the state limit
+        n = MAX_QUBITS
+        assert n > bellop.MAX_OPERATOR_QUBITS
+        res = bound_check(ghz_optimal_settings(n))
+        assert res.passed
+        assert res.lambda_max_sq == pytest.approx(2.0 ** (n + 1), rel=1e-12)
+        with pytest.raises(ValueError, match=f"bound_check supports n <= {MAX_QUBITS}"):
+            bound_check(ghz_optimal_settings(n + 1))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ghz_settings_diagonal_in_bell_basis(self, n):

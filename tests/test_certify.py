@@ -244,3 +244,11 @@ class TestConsistencyAcrossModules:
         assert res.best_value <= 2.0 + 1e-9
         cert = certify_depth(res.best_value, 4, epsilon=1e-6)
         assert cert.certified_entangled <= 1
+
+    def test_certificate_does_not_bound_the_largest_group(self):
+        # GHZ_3 (x) GHZ_3 rules out 2 independent qubits, so 4 of its 6 qubits
+        # are each entangled with another, yet its largest entangled block has 3
+        state = tensor(ghz_pure(3), ghz_pure(3))
+        res = optimize.max_violation_settings(state, restarts=20, seed=1)
+        assert res.best_value == pytest.approx(2 ** 2.5, abs=1e-6)
+        assert certify_depth(res.best_value, 6).certified_entangled == 4

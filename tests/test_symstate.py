@@ -236,7 +236,8 @@ def _coefficient_bits(state: SymState) -> list:
 
 
 gaussian_rationals = st.builds(RationalComplex,
-                               st.fractions(max_denominator=12).filter(lambda f: abs(f) < 50),
+                               st.fractions(min_value=-50, max_value=50, max_denominator=12)
+                               .filter(lambda f: abs(f) < 50),
                                st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=12)))
 numeric_coefficients = st.one_of(st.just(0j), st.integers(-5, 5).map(complex),
                                  st.complex_numbers(max_magnitude=1e6, allow_nan=False,
