@@ -20,6 +20,7 @@ max_violation_settings sees its sweep gains shrink by less than
 NEWTON_GATE per sweep over three sweeps, it tries one Riemannian Newton
 step on the 2n unit spheres of the settings.  Its gradient and Hessian are
 exact and cheap for the same reason: <B_n> is linear in each z_j.
+search_mm_partial takes only that step (_newton_step), on one unit sphere.
 
 Every optimizer runs through one multi-start driver, _multistart, and keeps
 only its per-restart step generator and its re-verification.  The driver
@@ -36,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -45,7 +47,6 @@ from .bellop import (Settings, _correlation_tensor, _factors, _fold, _kron, _pau
                      _top_eigenpair, bell_expectation, bell_operator)
 from .qstate import PureState, State, child_rng
 
-BACKTRACK_FACTOR = 0.5    # line-search shrink factor
 MAX_ITERATIONS = 500      # per-restart iteration cap
 ASCENT_SLACK = 1e-12      # allowed arithmetic regression per accepted step
 VERIFY_ATOL = 1e-10       # argmax re-evaluation tolerance
@@ -167,37 +168,39 @@ def _fold_derivatives(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     return grad, hess + hess.transpose(3, 4, 5, 0, 1, 2)
 
 
-def _newton_step(corr: np.ndarray, vectors: np.ndarray, value: float, min_rise: float):
-    """One Riemannian Newton step for f = Re _fold(vectors) . corr on the 2n unit
-    spheres of the settings: (vectors, f) after the step, or None when no
-    tried shift raises f above ``value`` by more than ``min_rise``.
+def _newton_step(points: np.ndarray, grad: np.ndarray, hess: np.ndarray, evaluate,
+                 value: float, min_rise: float):
+    """One Riemannian Newton step for f on the k unit spheres of the rows of
+    ``points`` (k, d), from f's Euclidean gradient and Hessian there and
+    ``evaluate`` (a (k, d) point -> f): (points, f) after the step, or None
+    when no tried shift raises f above ``value`` by more than ``min_rise``.
 
     The Riemannian gradient is the Euclidean one projected onto each tangent
     plane; the Riemannian Hessian is the projected Hessian minus
     <x, grad f> on each sphere's tangent plane (normal directions get -1, so
-    the 6n system keeps them out of the step).  The Levenberg shift is the
+    the k d system keeps them out of the step).  The Levenberg shift is the
     gradient norm, times 1, 10, 100 until f rises enough, plus the top
-    eigenvalue when the Hessian is not negative definite.  The step is
-    retracted by normalizing every vector.
+    eigenvalue when the Hessian is not negative definite, which far from a
+    maximum makes it a scaled gradient step.  The step is retracted by
+    normalizing every row.
     """
-    n2 = 2 * vectors.shape[0]
-    grad, hess = _fold_derivatives(corr, vectors)
-    x, g = vectors.reshape(n2, 3), grad.reshape(n2, 3)
+    k, d = points.shape
+    x, g = points, grad.reshape(k, d)
     radial = np.sum(x * g, axis=1)
     tangent = (g - radial[:, None] * x).ravel()
     normal = x[:, :, None] * x[:, None, :]
-    proj = np.eye(3) - normal
-    h = np.einsum("iab,ibkc,kcd->iakd", proj, hess.reshape(n2, 3, n2, 3), proj)
-    rows = np.arange(n2)
+    proj = np.eye(d) - normal
+    h = np.einsum("iab,ibkc,kcd->iakd", proj, hess.reshape(k, d, k, d), proj)
+    rows = np.arange(k)
     h[rows, :, rows, :] -= radial[:, None, None] * proj + normal
-    lam, vec = np.linalg.eigh(h.reshape(3 * n2, 3 * n2))
+    lam, vec = np.linalg.eigh(h.reshape(k * d, k * d))
     coef = vec.T @ tangent
     size = float(np.linalg.norm(tangent))
-    for k in range(LEVENBERG_TRIES):
-        shift = max(lam[-1], 0.0) + size * 10.0**k
-        moved = x + (vec @ (coef / (shift - lam))).reshape(n2, 3)
-        moved = (moved / np.linalg.norm(moved, axis=1, keepdims=True)).reshape(vectors.shape)
-        moved_value = float(_fold(moved).real @ corr)
+    for t in range(LEVENBERG_TRIES):
+        shift = max(lam[-1], 0.0) + size * 10.0**t
+        moved = x + (vec @ (coef / (shift - lam))).reshape(k, d)
+        moved = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+        moved_value = float(evaluate(moved))
         if moved_value - value > min_rise:
             return moved, moved_value
     return None
@@ -277,9 +280,11 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
             yield value, None, vectors
             if len(gains) == 3 and min(gains[1] / gains[0], gains[2] / gains[1]) > NEWTON_GATE:
                 gains = []
-                step = _newton_step(corr, vectors, value, tol)
+                step = _newton_step(vectors.reshape(-1, 3), *_fold_derivatives(corr, vectors),
+                                    lambda x: _fold(x.reshape(vectors.shape)).real @ corr,
+                                    value, tol)
                 if step is not None:
-                    vectors, value = step
+                    vectors, value = step[0].reshape(vectors.shape), step[1]
                     yield value, None, vectors
 
     def finish(vectors):
@@ -357,43 +362,44 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
     return _multistart(ascent, finish, restarts, seed, tol)
 
 
-def _params_to_coeff(n: int, theta: np.ndarray) -> np.ndarray:
-    """2(n+1)-1 free real parameters -> symmetric coefficients: the first
-    coefficient is pinned real (global phase) and the norm is fixed by the
-    residual's own normalization."""
-    return np.insert(theta, 1, 0.0).view(complex)
+@lru_cache(maxsize=None)
+def _schmidt_derivatives(n: int) -> np.ndarray:
+    """Read-only B_k = dM/dtheta_k, shape (2n+2, m+1, n-m+1), so that the
+    Schmidt matrix M = J c (criteria.schmidt_map, m = n//2) of the coefficients
+    c_j = (theta_2j + i theta_2j+1) / sqrt(C(n,j)) is sum_k theta_k B_k and,
+    by schmidt_map's Vandermonde identity, |M|_F = |theta|."""
+    jac = criteria.schmidt_map(n, n // 2) / np.sqrt([math.comb(n, j) for j in range(n + 1)])
+    basis = np.stack([jac, 1j * jac]).transpose(3, 0, 1, 2).reshape(2 * n + 2, *jac.shape[:2])
+    basis.setflags(write=False)
+    return basis
 
 
-def _mm_residual_grad(n: int, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Closed-form partial-state residual and its exact theta-gradient.
-
-    The m-qubit partial state of a symmetric state has rank at most m+1, so
-    the spectral residual of criteria.mm_partial_residual equals
-    R = tr(rho_m^2) - 1/(m+1) = f/g^2 - 1/(m+1), with M = J c the symmetric
-    Schmidt matrix, g = |M|_F^2 and f = |M M^H|_F^2.  Its Wirtinger derivative
-    dR/dconj(M) = 2 M M^H M / g^2 - 2 f M / g^3 is pulled back through J
-    (anti-diagonal sums k+l = j) onto each c_j, then onto theta as 2 Re/Im.
-    """
-    m = n // 2
-    jac = criteria.schmidt_map(n, m)
-    mat = jac @ _params_to_coeff(n, theta)
-    g = float(np.vdot(mat, mat).real)
-    if g < 1e-20:       # norm below 1e-10
-        return 1e6, np.zeros_like(theta)
+def _mm_residual_derivatives(n: int, theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """f - 1/(m+1) for the purity f = |M M^H|_F^2 at M = sum_k theta_k B_k
+    (_schmidt_derivatives), and f's exact gradient and Hessian in theta.  At
+    a unit theta M M^H is the m-qubit partial state, of rank at most m+1, so
+    this is the spectral residual of criteria.mm_partial_residual.  M is
+    linear in theta, so df_k = 4 Re<B_k, M M^H M> and
+    d2f_kl = 4 Re<B_k, B_l M^H M + M B_l^H M + M M^H B_l>."""
+    basis = _schmidt_derivatives(n)
+    flat = basis.reshape(theta.size, -1)
+    mat = (theta @ flat).reshape(basis.shape[1:])
     rho = mat @ mat.conj().T
-    f = float(np.vdot(rho, rho).real)
-    dmat = 2.0 * (rho @ mat) / g**2 - (2.0 * f / g**3) * mat
-    dc = np.tensordot(dmat, jac, axes=2)
-    return f / g**2 - 1.0 / (m + 1), 2.0 * np.delete(dc.view(float), 1)
+    grad = 4.0 * (flat.conj() @ (rho @ mat).ravel()).real
+    dcube = (basis @ (mat.conj().T @ mat) + mat @ (np.swapaxes(basis.conj(), 1, 2) @ mat)
+             + rho @ basis)    # d(M M^H M)/dtheta_l
+    hess = 4.0 * (flat.conj() @ dcube.reshape(theta.size, -1).T).real
+    return float(np.vdot(rho, rho).real) - 1.0 / (n // 2 + 1), grad, hess
 
 
 def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
                       seed: int = 0) -> OptResult:
     """Minimize the maximally-mixed-partial-state residual over normalized
-    symmetric states by multi-start gradient descent with a backtracking
-    line search, on the closed-form residual tr(rho_m^2) - 1/(m+1) and its
-    exact gradient (see _mm_residual_grad).  The reported optimum is
-    re-verified through the spectral criteria.mm_partial_residual.
+    symmetric states by multi-start Newton descent (_newton_step on minus
+    _mm_residual_derivatives) on the unit sphere of theta in R^(2n+2).  A
+    restart ends "converged" at a step that gains less than ``tol`` and
+    "stalled" when no Levenberg shift lowers the residual.  The reported
+    optimum is re-verified through the spectral criteria.mm_partial_residual.
 
     A residual at numerical zero certifies a state satisfying the criterion;
     a stubborn floor over many restarts is recorded as empirical evidence of
@@ -403,32 +409,22 @@ def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
         raise ValueError("search supports 2 <= n <= 8")
 
     def descent(rng):
-        theta = rng.normal(size=2 * (n + 1) - 1)
-        f, grad = _mm_residual_grad(n, theta)
-        step = 0.25
-        yield f, None, theta
+        theta = rng.normal(size=2 * n + 2)
+        theta /= np.linalg.norm(theta)
+        value, grad, hess = _mm_residual_derivatives(n, theta)
+        yield value, None, theta
         while True:
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-13 or f < 1e-14:     # gradient or residual floor
-                yield None, "converged", None
-            while step > 1e-14:
-                candidate = theta - step * grad
-                fc, gc = _mm_residual_grad(n, candidate)
-                if fc < f - 1e-4 * step * gnorm**2:
-                    break
-                step *= BACKTRACK_FACTOR
-            else:
-                yield None, "stalled", None     # no step accepted
-            # Relative stall: near a strictly positive local floor the gain
-            # per step collapses relative to f, while genuine descent toward
-            # zero keeps a roughly constant gain/f ratio.
-            stalled = f - fc < 1e-6 * fc
-            theta, f, grad = candidate, fc, gc
-            step = min(step * 2.0, 4.0)
-            yield f, "stalled" if stalled else None, theta
+            step = _newton_step(theta[None], -grad, -hess,
+                                lambda x: -_mm_residual_derivatives(n, x[0])[0], -value, 0.0)
+            if step is None:
+                yield None, "stalled", None
+            theta = step[0][0]
+            value, grad, hess = _mm_residual_derivatives(n, theta)
+            yield value, None, theta
 
     def finish(theta):
-        state = symstate.SymState(n, list(_params_to_coeff(n, theta)))
+        coeff = theta.view(complex) / np.sqrt([math.comb(n, j) for j in range(n + 1)])
+        state = symstate.SymState(n, list(coeff))
         return None, state, criteria.mm_partial_residual(state).residual
 
     return _multistart(descent, finish, restarts, seed, tol, direction="min")

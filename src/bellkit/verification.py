@@ -243,19 +243,23 @@ def check_mutual_information(fast: bool = False) -> CheckResult:
 def check_mm_partial_states(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """Every cataloged state passes the maximally-mixed partial-state test;
     the n=5 search bottoms out well above zero (empirical floor, recorded,
-    not a nonexistence proof)."""
+    not a nonexistence proof).  The witness |D1> + |D4> has the partial
+    state diag(3, 4, 3)/10, so its residual is exactly 1/150, the floor the
+    search reaches."""
     residuals = {label: criteria.mm_partial_residual(state).residual
                  for label, state in criteria.mm_example_states().items()}
     states_ok = all(r < 1e-9 for r in residuals.values())
     restarts = 40 if fast else 200
     search = optimize.search_mm_partial(5, restarts=restarts, seed=seed)
     floor_ok = search.best_value > 1e-3
+    witness = criteria.mm_partial_residual(symstate.SymState(5, [0, 1, 0, 0, 1, 0]))
     return CheckResult(
         "mm-partial-states",
         "all cataloged states give residual < 1e-9; n=5 search floor > 1e-3 "
         f"over {restarts} restarts",
         states_ok and floor_ok,
-        {"max_state_residual": max(residuals.values()), "n5_floor": search.best_value})
+        {"max_state_residual": max(residuals.values()), "n5_floor": search.best_value,
+         "witness_residual": witness.residual})
 
 
 def _ket(n: int, j: int) -> symstate.SymState:

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,21 @@ class TestMMPartial:
         # m = 2 reduction of GHZ is rank 2, not the rank-3 target
         res = mm_partial_residual(symstate.ghz(4, 1))
         assert res.residual == pytest.approx(2 * (1 / 2 - 1 / 3) ** 2 + 1 / 9, abs=1e-12)
+
+    def test_n5_witness_partial_state(self):
+        # |D1> + |D4>: M[k, l] = c[k+l] sqrt(C(2,k) C(3,l)), so the entry k, k'
+        # of M M^H is sqrt(C(2,k) C(2,k')) times an integer sum; its square
+        # is an integer, and the diagonal is nonnegative
+        n, m, c = 5, 2, [0, 1, 0, 0, 1, 0]
+        squares = [[comb(m, k) * comb(m, kp)
+                    * sum(c[k + l] * c[kp + l] * comb(n - m, l) for l in range(n - m + 1)) ** 2
+                    for kp in range(m + 1)] for k in range(m + 1)]
+        assert squares == [[9, 0, 0], [0, 16, 0], [0, 0, 9]]
+        assert sum(cj * cj * comb(n, j) for j, cj in enumerate(c)) == 10
+        # so M M^H / |M|^2 = diag(3, 4, 3)/10, and the residual is
+        # (9 + 16 + 9)/100 - 1/3 = 1/150
+        res = mm_partial_residual(symstate.SymState(n, c))
+        assert res.residual == pytest.approx(1 / 150, abs=1e-15)
 
     def test_target_shape(self):
         res = mm_partial_residual(symstate.ghz(6, 1))

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -115,9 +116,11 @@ class TestFoldDerivatives:
         value = float(_fold(vectors).real @ corr)
         norms = [riemannian_gradient_norm(state, vectors)]
         for _ in range(2):
-            step = optimize._newton_step(corr, vectors, value, 0.0)
+            step = optimize._newton_step(
+                vectors.reshape(-1, 3), *optimize._fold_derivatives(corr, vectors),
+                lambda x: _fold(x.reshape(vectors.shape)).real @ corr, value, 0.0)
             assert step is not None and step[1] > value
-            vectors, value = step
+            vectors, value = step[0].reshape(vectors.shape), step[1]
             norms.append(riemannian_gradient_norm(state, vectors))
         assert norms[0] > 1e-3 and norms[1] < 1e-4 and norms[2] < 1e-8
 
@@ -260,37 +263,67 @@ class TestProductBoundMax:
             product_bound_max(3, 3, restarts=2, tol=1e-8, seed=0)
 
 
+def theta_coefficients(n, theta):
+    """The symmetric coefficients c_j = (theta_2j + i theta_2j+1) / sqrt(C(n,j))."""
+    return theta.view(complex) / np.sqrt([comb(n, j) for j in range(n + 1)])
+
+
 def spectral_residual(n, theta):
     """The dense partial-spectrum residual at the search parameters theta."""
-    coeff = optimize._params_to_coeff(n, theta)
-    return criteria.mm_partial_residual(symstate.SymState(n, list(coeff))).residual
+    state = symstate.SymState(n, list(theta_coefficients(n, theta)))
+    return criteria.mm_partial_residual(state).residual
 
 
-def fd_residual_gradient(n, theta, step=1e-6):
-    """Reference gradient: central differences of the spectral residual."""
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
+def dense_purity(n, theta):
+    """|rho rho^H|_F^2 for rho the unnormalized floor(n/2)-qubit partial state
+    of the embedded, unnormalized symmetric state."""
+    psi = symstate.embed_vector(symstate.SymState(n, list(theta_coefficients(n, theta))))
+    amp = psi.reshape(2 ** (n // 2), -1)
+    rho = amp @ amp.conj().T
+    return float(np.vdot(rho, rho).real)
+
+
+def central_differences(fn, theta, step=1e-6):
+    """Central differences of fn (scalar or array valued) along each theta_k."""
+    rows = []
+    for k in range(theta.size):
         probe = theta.copy()
-        probe[i] += step
-        up = spectral_residual(n, probe)
-        probe[i] -= 2 * step
-        grad[i] = (up - spectral_residual(n, probe)) / (2 * step)
-    return grad
+        probe[k] += step
+        up = fn(probe)
+        probe[k] -= 2 * step
+        rows.append((up - fn(probe)) / (2 * step))
+    return np.array(rows)
+
+
+def unit_theta(n, seed):
+    """A random point of the search's unit sphere in R^(2n+2)."""
+    theta = np.random.default_rng(seed).normal(size=2 * n + 2)
+    return theta / np.linalg.norm(theta)
 
 
 class TestClosedFormResidual:
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_matches_spectral_residual_and_differences(self, n, seed):
-        theta = np.random.default_rng(seed).normal(size=2 * n + 1)
-        value, grad = optimize._mm_residual_grad(n, theta)
+    def test_matches_spectral_residual(self, n, seed):
+        theta = unit_theta(n, seed)
+        value, _, _ = optimize._mm_residual_derivatives(n, theta)
         assert abs(value - spectral_residual(n, theta)) < 1e-12
-        assert np.max(np.abs(grad - fd_residual_gradient(n, theta))) < 1e-7
 
-    def test_zero_norm_guard(self):
-        value, grad = optimize._mm_residual_grad(3, np.zeros(7))
-        assert value == 1e6
-        assert not np.any(grad)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_matches_central_differences(self, n, seed):
+        theta = unit_theta(n, seed)
+        _, grad, _ = optimize._mm_residual_derivatives(n, theta)
+        reference = central_differences(lambda x: dense_purity(n, x), theta)
+        assert np.max(np.abs(grad - reference)) < 1e-7
+
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_hessian_matches_central_differences_of_gradient(self, n, seed):
+        theta = unit_theta(n, seed)
+        _, _, hess = optimize._mm_residual_derivatives(n, theta)
+        reference = central_differences(lambda x: optimize._mm_residual_derivatives(n, x)[1], theta)
+        assert np.max(np.abs(hess - reference)) < 1e-7
 
 
 class TestSearchMMPartial:
@@ -317,6 +350,16 @@ class TestSearchMMPartial:
         assert a.best_value == b.best_value
         assert a.traces == b.traces
 
+    def test_n5_ends_at_the_witness_floor_uncapped(self):
+        res = search_mm_partial(5, restarts=200, seed=101)
+        assert abs(res.best_value - 1 / 150) < 1e-12
+        assert "capped" not in res.statuses
+
+    def test_seed_33402888_ends_uncapped_below_1e_12(self):
+        res = search_mm_partial(3, restarts=1, seed=33402888)
+        assert res.statuses != ("capped",)
+        assert res.best_value < 1e-12
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             search_mm_partial(1, restarts=2, seed=0)
@@ -342,11 +385,12 @@ class TestMultistartDriver:
         with pytest.raises(ValueError, match="restarts|tol"):
             OPTIMIZERS[kind](2, 0, **kwargs)
 
-    def test_capped_restart_reported(self):
+    def test_capped_restart_reported(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
         res = search_mm_partial(3, restarts=1, seed=33402888)
         assert res.statuses == ("capped",)
         assert res.converged is False
-        assert len(res.traces[0]) == MAX_ITERATIONS + 1
+        assert len(res.traces[0]) == optimize.MAX_ITERATIONS + 1
 
     @given(st.sampled_from(sorted(OPTIMIZERS)), st.integers(2, 5),
            st.integers(0, 2**16), st.sampled_from([1e-12, 1e-9, 1e-4]))
@@ -359,13 +403,7 @@ class TestMultistartDriver:
             assert len(trace) == MAX_ITERATIONS + 1
         elif status == "converged":
             sign = 1.0 if res.direction == "max" else -1.0
-            below_tol = len(trace) > 1 and sign * (trace[-1] - trace[-2]) < tol
-            floor = False
-            if kind == "mm":    # the search's gradient and residual floors
-                theta = np.delete(res.best_state.as_complex().view(float), 1)
-                _, grad = optimize._mm_residual_grad(n, theta)
-                floor = trace[-1] < 1e-14 or np.linalg.norm(grad) < 1e-13
-            assert below_tol or floor
+            assert len(trace) > 1 and sign * (trace[-1] - trace[-2]) < tol
         else:
             assert status == "stalled" and kind == "mm"
 
