@@ -51,7 +51,6 @@ from .qstate import (MAX_QUBITS, PAULI_X, PAULI_Y, PAULI_Z, PureState, State, _c
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
 MAX_ENUM_QUBITS = 10       # 4^n assignment enumeration
-OPERATOR_MATCH_ATOL = 1e-10
 BOUND_SLACK = 1e-8
 
 

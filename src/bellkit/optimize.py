@@ -20,7 +20,8 @@ max_violation_settings sees its sweep gains shrink by less than
 NEWTON_GATE per sweep over three sweeps, it tries one Riemannian Newton
 step on the 2n unit spheres of the settings.  Its gradient and Hessian are
 exact and cheap for the same reason: <B_n> is linear in each z_j.
-search_mm_partial takes only that step (_newton_step), on one unit sphere.
+search_mm_partial takes only that step, on one unit sphere.  Each search
+evaluates the _newton_moves itself and keeps the first it accepts.
 
 Every optimizer runs through one multi-start driver, _multistart, and keeps
 only its per-restart step generator and its re-verification.  The driver
@@ -45,7 +46,7 @@ import numpy as np
 from . import criteria, symstate
 from .bellop import (Settings, _correlation_tensor, _factors, _fold, _kron, _pauli_factors,
                      _top_eigenpair, bell_expectation, bell_operator)
-from .qstate import PureState, State, child_rng
+from .qstate import PureState, State, child_rng, state_to_json
 
 MAX_ITERATIONS = 500      # per-restart iteration cap
 ASCENT_SLACK = 1e-12      # allowed arithmetic regression per accepted step
@@ -88,7 +89,7 @@ class OptResult:
         if isinstance(self.best_state, symstate.SymState):
             out["sym_state"] = symstate.sym_to_json(self.best_state)
         elif isinstance(self.best_state, PureState):
-            out["state"] = [[z.real, z.imag] for z in self.best_state.amp]
+            out["state"] = state_to_json(self.best_state)["amp"]
         return out
 
     def save(self, path) -> None:
@@ -168,21 +169,19 @@ def _fold_derivatives(corr: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     return grad, hess + hess.transpose(3, 4, 5, 0, 1, 2)
 
 
-def _newton_step(points: np.ndarray, grad: np.ndarray, hess: np.ndarray, evaluate,
-                 value: float, min_rise: float):
-    """One Riemannian Newton step for f on the k unit spheres of the rows of
-    ``points`` (k, d), from f's Euclidean gradient and Hessian there and
-    ``evaluate`` (a (k, d) point -> f): (points, f) after the step, or None
-    when no tried shift raises f above ``value`` by more than ``min_rise``.
+def _newton_moves(points: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+    """Riemannian Newton moves for f on the k unit spheres of the rows of
+    ``points`` (k, d), from f's Euclidean gradient and Hessian there: one
+    retracted (k, d) point per Levenberg shift, smallest shift first.  The
+    caller evaluates each move and keeps the first it accepts.
 
     The Riemannian gradient is the Euclidean one projected onto each tangent
     plane; the Riemannian Hessian is the projected Hessian minus
     <x, grad f> on each sphere's tangent plane (normal directions get -1, so
     the k d system keeps them out of the step).  The Levenberg shift is the
-    gradient norm, times 1, 10, 100 until f rises enough, plus the top
-    eigenvalue when the Hessian is not negative definite, which far from a
-    maximum makes it a scaled gradient step.  The step is retracted by
-    normalizing every row.
+    gradient norm, times 1, 10, 100, plus the top eigenvalue when the
+    Hessian is not negative definite, which far from a maximum makes it a
+    scaled gradient step.  The step is retracted by normalizing every row.
     """
     k, d = points.shape
     x, g = points, grad.reshape(k, d)
@@ -199,11 +198,7 @@ def _newton_step(points: np.ndarray, grad: np.ndarray, hess: np.ndarray, evaluat
     for t in range(LEVENBERG_TRIES):
         shift = max(lam[-1], 0.0) + size * 10.0**t
         moved = x + (vec @ (coef / (shift - lam))).reshape(k, d)
-        moved = moved / np.linalg.norm(moved, axis=1, keepdims=True)
-        moved_value = float(evaluate(moved))
-        if moved_value - value > min_rise:
-            return moved, moved_value
-    return None
+        yield moved / np.linalg.norm(moved, axis=1, keepdims=True)
 
 
 def _multistart(search, finish, restarts: int, seed: int, tol: float,
@@ -211,13 +206,12 @@ def _multistart(search, finish, restarts: int, seed: int, tol: float,
     """The restart frame every optimizer runs through.
 
     ``search(rng)`` is a generator for one restart.  It yields
-    ``(value, stop, point)`` at its random start and then once per step:
-    the objective at the iterate ``point`` (``value`` None when the step
-    found no new iterate), and ``stop``, None to go on or the status that
-    ends the restart, after which the generator is not resumed.  A gain
-    below ``tol`` ends it as "converged"; MAX_ITERATIONS steps end it as
-    "capped".  ``finish(point)`` turns the best restart's iterate into
-    ``(settings, state, value)`` with the value recomputed independently.
+    ``(value, point)`` at its random start and then once per step: the
+    objective at the new iterate ``point``.  A return ends the restart as
+    "stalled", a gain below ``tol`` as "converged", and MAX_ITERATIONS
+    steps as "capped".  ``finish(point)`` turns the best restart's iterate
+    into ``(settings, state, value)`` with the value recomputed
+    independently.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -228,19 +222,20 @@ def _multistart(search, finish, restarts: int, seed: int, tol: float,
     traces, statuses = [], []
     for r in range(restarts):
         steps = search(child_rng(seed, r))
-        value, _, point = next(steps)
+        value, point = next(steps)
         trace, status = [value], "capped"
         for _ in range(MAX_ITERATIONS):
-            value, stop, iterate = next(steps)
-            if value is not None:
-                gain = sign * (value - trace[-1])
-                if gain < -ASCENT_SLACK:
-                    raise RuntimeError(f"optimizer step regressed ({direction}imizing)")
-                trace.append(value)
-                point = iterate
-                stop = "converged" if gain < tol else stop
-            if stop:
-                status = stop
+            step = next(steps, None)
+            if step is None:
+                status = "stalled"
+                break
+            value, point = step
+            gain = sign * (value - trace[-1])
+            if gain < -ASCENT_SLACK:
+                raise RuntimeError(f"optimizer step regressed ({direction}imizing)")
+            trace.append(value)
+            if gain < tol:
+                status = "converged"
                 break
         traces.append(tuple(trace))
         statuses.append(status)
@@ -260,9 +255,9 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
 
     Each restart runs coordinate sweeps.  After three sweeps whose gains
     each fell by less than a factor 1/NEWTON_GATE, a slow linear rate, it
-    tries one Newton step (_newton_step) and keeps it when it raises <B_n>
-    by more than ``tol``, so only a sweep ends a restart as "converged";
-    the next try waits for three more sweeps.
+    tries one Newton step: it keeps the first of the _newton_moves that
+    raises <B_n> by more than ``tol``, so only a sweep ends a restart as
+    "converged"; the next try waits for three more sweeps.
     """
     if state.n > 10:
         raise ValueError("settings optimization supports n <= 10")
@@ -271,21 +266,23 @@ def max_violation_settings(state: State, restarts: int = 20, tol: float = 1e-9,
     def ascent(rng):
         vectors = _random_unit_vectors(rng, state.n)
         value = float(_fold(vectors).real @ corr)
-        yield value, None, vectors
+        yield value, vectors
         gains = []
         while True:
             vectors, swept = _coordinate_sweep(corr, vectors)
             gains = [*gains[-2:], swept - value]
             value = swept
-            yield value, None, vectors
+            yield value, vectors
             if len(gains) == 3 and min(gains[1] / gains[0], gains[2] / gains[1]) > NEWTON_GATE:
                 gains = []
-                step = _newton_step(vectors.reshape(-1, 3), *_fold_derivatives(corr, vectors),
-                                    lambda x: _fold(x.reshape(vectors.shape)).real @ corr,
-                                    value, tol)
-                if step is not None:
-                    vectors, value = step[0].reshape(vectors.shape), step[1]
-                    yield value, None, vectors
+                for moved in _newton_moves(vectors.reshape(-1, 3),
+                                           *_fold_derivatives(corr, vectors)):
+                    moved = moved.reshape(vectors.shape)
+                    moved_value = float(_fold(moved).real @ corr)
+                    if moved_value - value > tol:
+                        vectors, value = moved, moved_value
+                        yield value, vectors
+                        break
 
     def finish(vectors):
         st = Settings(vectors)
@@ -307,7 +304,7 @@ def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
         vectors = _random_unit_vectors(rng, n)
         while True:
             top, eigvec = _top_eigenpair(vectors)
-            yield float(top), None, vectors
+            yield float(top), vectors
             vectors, _ = _coordinate_sweep(_correlation_tensor(PureState(n, eigvec)), vectors)
 
     def finish(vectors):
@@ -344,7 +341,7 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
         while True:
             state = PureState(n, _kron(parts))
             corr = _correlation_tensor(state)
-            yield float(_fold(vectors).real @ corr), None, (vectors, state)
+            yield float(_fold(vectors).real @ corr), (vectors, state)
             vectors, _ = _coordinate_sweep(corr, vectors)
             factors = _pauli_factors(vectors)
             ops = [_kron(factors[lo:hi]) for lo, hi in zip(edges, edges[1:])]
@@ -395,10 +392,11 @@ def _mm_residual_derivatives(n: int, theta: np.ndarray) -> tuple[float, np.ndarr
 def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
                       seed: int = 0) -> OptResult:
     """Minimize the maximally-mixed-partial-state residual over normalized
-    symmetric states by multi-start Newton descent (_newton_step on minus
-    _mm_residual_derivatives) on the unit sphere of theta in R^(2n+2).  A
-    restart ends "converged" at a step that gains less than ``tol`` and
-    "stalled" when no Levenberg shift lowers the residual.  The reported
+    symmetric states by multi-start Newton descent on the unit sphere of
+    theta in R^(2n+2), keeping the first of the _newton_moves that lowers the
+    residual together with its gradient and Hessian, so no point is evaluated
+    twice.  A restart ends "converged" at a step that gains less than ``tol``
+    and "stalled" when no Levenberg shift lowers the residual.  The reported
     optimum is re-verified through the spectral criteria.mm_partial_residual.
 
     A residual at numerical zero certifies a state satisfying the criterion;
@@ -412,15 +410,16 @@ def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
         theta = rng.normal(size=2 * n + 2)
         theta /= np.linalg.norm(theta)
         value, grad, hess = _mm_residual_derivatives(n, theta)
-        yield value, None, theta
+        yield value, theta
         while True:
-            step = _newton_step(theta[None], -grad, -hess,
-                                lambda x: -_mm_residual_derivatives(n, x[0])[0], -value, 0.0)
-            if step is None:
-                yield None, "stalled", None
-            theta = step[0][0]
-            value, grad, hess = _mm_residual_derivatives(n, theta)
-            yield value, None, theta
+            for moved in _newton_moves(theta[None], -grad, -hess):
+                step = _mm_residual_derivatives(n, moved[0])
+                if step[0] < value:
+                    theta, (value, grad, hess) = moved[0], step
+                    yield value, theta
+                    break
+            else:
+                return
 
     def finish(theta):
         coeff = theta.view(complex) / np.sqrt([math.comb(n, j) for j in range(n + 1)])

@@ -36,7 +36,6 @@ SPECTRUM_HERMITIAN_ATOL = 1e-10
 SPECTRUM_RESIDUAL_RTOL = 1e-8
 PROBABILITY_ATOL = 1e-12    # outcome distributions sum to 1 within this
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -39,8 +39,6 @@ import numpy as np
 
 from .qstate import PureState, _check_n, _read_json, hamming_weights, require_finite
 
-NORM_MATCH_ATOL = 1e-12  # float embedding norm vs exact rational norm
-
 
 @dataclass(frozen=True)
 class RationalComplex:

@@ -133,6 +133,23 @@ class TestEstimateE:
                 misses += 1
         assert misses <= 1
 
+    def test_stderr_calibrated_on_random_states(self):
+        # 8 states x 40 seeds; the 1-sigma band is 68.3% +- 5 binomial sigmas
+        rng = np.random.default_rng(0)
+        within_one = 0
+        for n in range(3, 7):
+            pure, mixed = random_pure(n, rng), random_density(n, rng)
+            st_ = Settings(random_unit_vectors(n, rng))
+            for state in (pure, mixed):
+                exact = bell_expectation(state, st_)
+                errors = []
+                for seed in range(40):
+                    est = estimate_E(state, st_, shots_per_term=1000, seed=seed)
+                    errors.append(abs(est.value - exact) / est.stderr)
+                assert sum(e <= 4 for e in errors) >= 38
+                within_one += sum(e <= 1 for e in errors)
+        assert 0.55 <= within_one / 320 <= 0.81
+
     def test_product_state_stays_classical(self):
         psi = PureState.basis(3, 0)
         st_ = ghz_optimal_settings(3)

@@ -116,11 +116,12 @@ class TestFoldDerivatives:
         value = float(_fold(vectors).real @ corr)
         norms = [riemannian_gradient_norm(state, vectors)]
         for _ in range(2):
-            step = optimize._newton_step(
-                vectors.reshape(-1, 3), *optimize._fold_derivatives(corr, vectors),
-                lambda x: _fold(x.reshape(vectors.shape)).real @ corr, value, 0.0)
-            assert step is not None and step[1] > value
-            vectors, value = step[0].reshape(vectors.shape), step[1]
+            moved = next(optimize._newton_moves(
+                vectors.reshape(-1, 3), *optimize._fold_derivatives(corr, vectors)))
+            moved = moved.reshape(vectors.shape)
+            moved_value = float(_fold(moved).real @ corr)
+            assert moved_value > value
+            vectors, value = moved, moved_value
             norms.append(riemannian_gradient_norm(state, vectors))
         assert norms[0] > 1e-3 and norms[1] < 1e-4 and norms[2] < 1e-8
 
@@ -360,6 +361,19 @@ class TestSearchMMPartial:
         assert res.statuses != ("capped",)
         assert res.best_value < 1e-12
 
+    def test_evaluates_each_point_once(self, monkeypatch):
+        seen = []
+        derivatives = optimize._mm_residual_derivatives
+
+        def recording(n, theta):
+            seen.append(theta.tobytes())
+            return derivatives(n, theta)
+
+        monkeypatch.setattr(optimize, "_mm_residual_derivatives", recording)
+        search_mm_partial(5, restarts=200, seed=101)
+        assert len(seen) > 200
+        assert len(set(seen)) == len(seen)
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             search_mm_partial(1, restarts=2, seed=0)
@@ -384,6 +398,39 @@ class TestMultistartDriver:
         kwargs = {"restarts": 1, "tol": 1e-9, **bad}
         with pytest.raises(ValueError, match="restarts|tol"):
             OPTIMIZERS[kind](2, 0, **kwargs)
+
+    @staticmethod
+    def run_toy(search, monkeypatch):
+        """One restart of a toy search whose iterate is its own value."""
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
+        return optimize._multistart(search, lambda point: (None, None, point), 1, 0, 1e-3)
+
+    def test_return_after_start_is_stalled(self, monkeypatch):
+        def stalls(rng):
+            yield 1.0, 1.0
+
+        res = self.run_toy(stalls, monkeypatch)
+        assert res.statuses == ("stalled",) and res.traces == ((1.0,),)
+        assert res.converged is True
+
+    def test_gain_below_tol_is_converged(self, monkeypatch):
+        def converges(rng):
+            yield from ((value, value) for value in (1.0, 2.0, 2.0005, 3.0))
+
+        res = self.run_toy(converges, monkeypatch)
+        assert res.statuses == ("converged",) and res.traces == ((1.0, 2.0, 2.0005),)
+        assert res.best_value == 2.0005
+
+    def test_endless_search_is_capped(self, monkeypatch):
+        def climbs(rng):
+            value = 0.0
+            while True:
+                yield value, value
+                value += 1.0
+
+        res = self.run_toy(climbs, monkeypatch)
+        assert res.statuses == ("capped",) and res.converged is False
+        assert len(res.traces[0]) == optimize.MAX_ITERATIONS + 1
 
     def test_capped_restart_reported(self, monkeypatch):
         monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
