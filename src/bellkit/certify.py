@@ -86,10 +86,6 @@ class EstimateResult(NamedTuple):
     stderr: float
 
 
-def _parity_signs(n: int) -> np.ndarray:
-    return np.where(hamming_weights(n) % 2 == 0, 1.0, -1.0)
-
-
 def _choice_table(state: State, rows: np.ndarray, prefix: tuple) -> np.ndarray:
     """Outcome table with the leading qubits measured along the directions
     ``prefix`` picks and every other qubit along both of its directions.
@@ -108,13 +104,16 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     """Simulate a finite-shot measurement of E(F_n).
 
     Every nonzero term of the multilinear expansion selects one product
-    measurement; ``shots_per_term`` outcomes are sampled from its exact
-    distribution and the +-1 products averaged.  Per-term standard errors
-    combine in quadrature, weighted by |coefficient|.  A term whose shots all
-    agree has no sample spread, so in place of a zero it gets the finite-shot
-    floor sqrt(4 p (1-p) / N), with p = (k+1)/(N+2) at k = N agreeing shots.
-    Per-term substreams are spawned by counter, so the estimate is
-    reproducible regardless of evaluation order.
+    measurement of N = ``shots_per_term`` shots.  The mean of their +-1
+    outcome products and its sample standard error depend only on the count
+    k of even-parity shots, so each term draws k ~ Binomial(N, p_even) once,
+    with p_even the even-parity mass of its exact distribution, and takes
+    mean = (2k - N)/N and stderr = sqrt(4 k (N-k) / (N-1)) / N.  Per-term
+    standard errors combine in quadrature, weighted by |coefficient|.  A term
+    whose shots all agree (k = 0 or N) has no sample spread, so in place of a
+    zero it gets the finite-shot floor sqrt(4 p (1-p) / N), with
+    p = (N+1)/(N+2).  Per-term substreams are spawned by counter, so the
+    estimate is reproducible regardless of evaluation order.
 
     The distributions are slices of one outcome table that measures every
     qubit along both of its directions (4^n entries).  For a pure state above
@@ -129,7 +128,8 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     lead = max(0, 2 * n - TABLE_BITS) if isinstance(state, PureState) else 0
     # rows[j, c, b] = <outcome b of direction c of qubit j+1|  (b = 0 is +1)
     rows = np.array([[_eigenbasis_rows(d) for d in pair] for pair in st.vectors])
-    signs = _parity_signs(n)
+    even = hamming_weights(n) % 2 == 0
+    shots = shots_per_term
     prefix = table = None
     total = 0.0
     var_total = 0.0
@@ -138,14 +138,13 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
             prefix = choice[:lead]
             table = _choice_table(state, rows, prefix)
         probs = _born_distribution(table[choice[lead:]].reshape(-1))
-        rng = child_rng(seed, idx)
-        draws = rng.choice(probs.size, size=shots_per_term, p=probs)
-        products = signs[draws]
-        mean = float(products.mean())
-        stderr = float(products.std(ddof=1) / np.sqrt(shots_per_term))
-        if stderr == 0.0:   # exact for +-1 samples that all agree
-            p = (shots_per_term + 1) / (shots_per_term + 2)
-            stderr = float(np.sqrt(4 * p * (1 - p) / shots_per_term))
+        p_even = min(float(probs[even].sum()), 1.0)   # the sum can pass 1 by an ulp
+        k = int(child_rng(seed, idx).binomial(shots, p_even))
+        mean = (2 * k - shots) / shots
+        stderr = float(np.sqrt(4 * k * (shots - k) / (shots - 1))) / shots
+        if stderr == 0.0:   # every shot agrees
+            p = (shots + 1) / (shots + 2)
+            stderr = float(np.sqrt(4 * p * (1 - p) / shots))
         w = float(coeff)
         total += w * mean
         var_total += (w * stderr) ** 2

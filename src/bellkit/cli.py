@@ -90,10 +90,15 @@ def _resolve(args: argparse.Namespace, defaults: dict, mode=None) -> dict:
     return merged
 
 
+def _json_scalar(obj):
+    """json.dump default for numpy scalars: bools stay bools, the rest are floats."""
+    return bool(obj) if isinstance(obj, np.bool_) else float(obj)
+
+
 def _emit(payload: dict, out: Optional[str], fmt: str, csv_rows=None) -> None:
     """Print (and optionally save) the payload as JSON, or csv_rows as CSV."""
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar) + "\n"
     else:
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     sys.stdout.write(text)
@@ -285,7 +290,7 @@ def _cmd_verify(args) -> int:
     }
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_scalar)
     print("all checks passed" if payload["all_passed"] else "SOME CHECKS FAILED")
     return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
 

@@ -27,6 +27,9 @@ class CheckResult:
     details: dict = field(default_factory=dict)
     seconds: float = 0.0
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)   # a check's flag may end as a numpy bool
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  {self.check_id}: {self.description}"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,21 +16,22 @@ from bellkit.qstate import DensityMatrix, PureState, child_rng, outcome_distribu
 from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
 
 
-def per_term_estimate(state, st_, shots_per_term, seed):
+def per_term_estimate(state, st_, shots, seed):
     """Reference estimator: one outcome_distribution call per correlator term,
-    in sorted term order, each term sampled from its own counter substream."""
-    signs = np.where(np.array([bin(i).count("1") for i in range(2**st_.n)]) % 2 == 0, 1.0, -1.0)
+    in sorted term order, each term's even-parity count drawn from its own
+    counter substream and read through the closed forms that
+    test_closed_forms_match_sample_moments checks against the shots."""
+    even = np.array([bin(i).count("1") % 2 == 0 for i in range(2**st_.n)])
     total = var_total = 0.0
     for idx, (choice, coeff) in enumerate(sorted(expand_correlators(st_.n).items())):
         bases = np.array([st_.vectors[j, c] for j, c in enumerate(choice)])
-        probs = outcome_distribution(state, bases)
-        draws = child_rng(seed, idx).choice(probs.size, size=shots_per_term, p=probs)
-        products = signs[draws]
-        stderr = float(products.std(ddof=1) / np.sqrt(shots_per_term))
-        if stderr == 0.0:
-            p = (shots_per_term + 1) / (shots_per_term + 2)
-            stderr = float(np.sqrt(4 * p * (1 - p) / shots_per_term))
-        total += float(coeff) * float(products.mean())
+        p_even = min(float(outcome_distribution(state, bases)[even].sum()), 1.0)
+        k = int(child_rng(seed, idx).binomial(shots, p_even))
+        stderr = float(np.sqrt(4 * k * (shots - k) / (shots - 1))) / shots
+        if k in (0, shots):
+            p = (shots + 1) / (shots + 2)
+            stderr = float(np.sqrt(4 * p * (1 - p) / shots))
+        total += float(coeff) * ((2 * k - shots) / shots)
         var_total += (float(coeff) * stderr) ** 2
     return certify.EstimateResult(total, float(np.sqrt(var_total)))
 
@@ -168,6 +170,63 @@ class TestEstimateE:
         est = estimate_E(ghz_pure(3), ghz_optimal_settings(3), shots_per_term=2000, seed=3)
         assert est.value == pytest.approx(4.0, abs=1e-12)
         assert est.stderr > 0
+
+    def test_all_odd_terms_keep_nonzero_stderr(self):
+        # |01> measured along z on both qubits: every term's shots are odd (p_even = 0)
+        z = [[0.0, 0.0, 1.0]] * 2
+        est = estimate_E(PureState.basis(2, 1), Settings([z, z]), shots_per_term=2000, seed=3)
+        weights = np.array([float(c) for _, c in expand_correlators(2).items()])
+        p = 2001 / 2002
+        assert est.value == -weights.sum()
+        assert est.stderr == pytest.approx(np.sqrt(4 * p * (1 - p) / 2000 * (weights**2).sum()))
+        assert est.stderr > 0
+
+    def test_large_shot_counts(self):
+        # one draw of 10^7 outcomes per term would take about 80 MB
+        est = estimate_E(ghz_pure(3), ghz_optimal_settings(3), shots_per_term=10**7, seed=4)
+        assert np.isfinite(est.value)
+        assert est.stderr > 0
+        assert abs(est.value - 4.0) <= 4 * est.stderr
+
+    @given(st.integers(min_value=2, max_value=5000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_forms_match_sample_moments(self, shots, data):
+        k = data.draw(st.integers(min_value=0, max_value=shots))
+        order = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        products = order.permutation(np.r_[np.ones(k), -np.ones(shots - k)])
+        stderr = np.sqrt(4 * k * (shots - k) / (shots - 1)) / shots
+        assert abs((2 * k - shots) / shots - products.mean()) <= 1e-15
+        assert abs(stderr - products.std(ddof=1) / np.sqrt(shots)) <= 1e-15
+
+    def test_even_counts_follow_the_binomial_law(self):
+        # A term of GHZ_3 at tilted settings (p_even ~ 0.77).  Its even-parity
+        # count over N shots, drawn outcome by outcome with rng.choice (the
+        # reference) or as one binomial, must fit the exact Binomial(N, p_even) pmf.
+        st_ = ghz_optimal_settings(3)
+        v = st_.vectors.copy()
+        v[0, 0] = [np.cos(1.0), np.sin(1.0), 0.0]
+        choice = min(expand_correlators(3).items())[0]   # term 0 of the sorted expansion
+        bases = np.array([v[j, c] for j, c in enumerate(choice)])
+        probs = outcome_distribution(ghz_pure(3), bases)
+        even = np.array([bin(i).count("1") % 2 == 0 for i in range(8)])
+        p_even = float(probs[even].sum())
+        shots, seeds = 20, range(2000)
+        pmf = [math.comb(shots, k) * p_even**k * (1 - p_even)**(shots - k)
+               for k in range(shots + 1)]
+        # pool the lower tail until every bin expects at least 5 counts
+        bins, lo = [], 0
+        for k in range(shots + 1):
+            if len(seeds) * sum(pmf[lo:k + 1]) >= 5:
+                bins.append(range(lo, k + 1))
+                lo = k + 1
+        assert lo == shots + 1 and len(bins) == 11   # 10 degrees of freedom
+        by_choice = [even[child_rng(s, 0).choice(8, shots, p=probs)].sum() for s in seeds]
+        by_binomial = [child_rng(s, 0).binomial(shots, p_even) for s in seeds]
+        expected = [len(seeds) * sum(pmf[i] for i in b) for b in bins]
+        for counts in (by_choice, by_binomial):
+            observed = np.bincount(counts, minlength=shots + 1)
+            chi2 = sum((observed[b].sum() - e)**2 / e for b, e in zip(bins, expected))
+            assert chi2 < 29.59   # the 0.999 quantile of chi-square with 10 dof
 
     def test_deterministic(self):
         psi = ghz_pure(2)

@@ -16,14 +16,14 @@ def run_cli(capsys, *argv):
 
 
 # stdout of `certify --estimate` on the Werner-GHZ n=5 state below, recorded
-# before the estimator read its distributions from a shared outcome table
-# (the config echo holds only the keys certify reads)
+# when the estimator began to draw each term's even-parity count as one
+# binomial (the config echo holds only the keys certify reads)
 WERNER5_ESTIMATE_STDOUT = """\
 {
   "certificate": {
-    "E": 6.064000000000001,
+    "E": 6.024,
     "certified_entangled": 5,
-    "epsilon": 0.11668044893460852,
+    "epsilon": 0.11772650408842711,
     "flags": [],
     "max_consistent_independent": 0,
     "n": 5,
@@ -46,8 +46,8 @@ WERNER5_ESTIMATE_STDOUT = """\
     "state": "state.json"
   },
   "estimate": {
-    "E": 6.064000000000001,
-    "stderr": 0.02917011223365213
+    "E": 6.024,
+    "stderr": 0.029431626022106777
   }
 }
 """
@@ -197,7 +197,8 @@ class TestCertify:
     def test_estimate_replays_ghz6(self, capsys, tmp_path, monkeypatch):
         code, out, _ = run_estimate(capsys, tmp_path, monkeypatch, ghz_pure(6), 6)
         assert code == 0
-        assert json.loads(out)["estimate"] == {"E": 11.344, "stderr": 0.03153587648620022}
+        assert json.loads(out)["estimate"] == {"E": 11.374500000000005,
+                                                    "stderr": 0.03145107347152488}
 
     def test_estimate_non_finite_state_usage_error(self, capsys, tmp_path):
         state_file = tmp_path / "nan.json"
@@ -508,6 +509,19 @@ class TestVerifyCommand:
         assert code == 0
         obj = json.loads(path.read_text())
         assert obj["all_passed"] is True
+
+    def test_out_file_writes_json_booleans(self, capsys, tmp_path, monkeypatch):
+        # symmetric-identities ends its flag as a numpy bool
+        checks = [verification.check_symmetric_identities(fast=True),
+                  verification.CheckResult("b", "desc", np.bool_(False))]
+        assert all(type(res.passed) is bool for res in checks)
+        monkeypatch.setattr(verification, "run_all", lambda fast: checks)
+        path = tmp_path / "verify.json"
+        code, _, _ = run_cli(capsys, "verify", "--out", str(path))
+        assert code == 1
+        obj = json.loads(path.read_text())
+        assert [r["passed"] for r in obj["results"]] == [True, False]
+        assert all(type(r["passed"]) is bool for r in obj["results"])
 
 
 def parse_error(capsys, *argv):
