@@ -17,7 +17,7 @@ import numpy as np
 from . import optimize
 from .bellop import Settings, bell_expectation, expand_correlators
 from .qstate import (DensityMatrix, PureState, State, _born_distribution, _eigenbasis_rows,
-                     _outcome_table, child_rng, hamming_weights)
+                     _outcome_table, child_rng, hamming_weights, require_int)
 
 EXACT_EPSILON = 1e-9        # margin when certifying exact expectations
 ESTIMATE_SIGMA = 4.0        # margin in standard errors for estimates
@@ -115,13 +115,17 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     p = (N+1)/(N+2).  Per-term substreams are spawned by counter, so the
     estimate is reproducible regardless of evaluation order.
 
-    The distributions are slices of one outcome table that measures every
-    qubit along both of its directions (4^n entries).  For a pure state above
-    n = TABLE_BITS / 2 the table is built once per choice of the leading
-    2n - TABLE_BITS qubits, so that no table exceeds 2^TABLE_BITS entries.
+    The distributions are the rows of one outcome table that measures every
+    qubit along both of its directions (4^n entries); every row is checked
+    and normalized at once, and one masked row sum gives every p_even.  For
+    a pure state above n = TABLE_BITS / 2 the table is built once per choice
+    of the leading 2n - TABLE_BITS qubits, so that no table exceeds
+    2^TABLE_BITS entries.  ``shots_per_term`` and ``seed`` must be integers.
     """
-    if shots_per_term < MIN_SHOTS:
-        raise ValueError(f"need at least {MIN_SHOTS} shots per term")
+    shots = require_int(shots_per_term, "shots_per_term")
+    seed = require_int(seed, "seed")
+    if not MIN_SHOTS <= shots < 2**63:   # the binomial draw takes an int64
+        raise ValueError(f"shots_per_term must be in [{MIN_SHOTS}, 2^63), got {shots}")
     if state.n != st.n:
         raise ValueError(f"state has {state.n} qubits but settings have {st.n}")
     n = st.n
@@ -129,17 +133,16 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     # rows[j, c, b] = <outcome b of direction c of qubit j+1|  (b = 0 is +1)
     rows = np.array([[_eigenbasis_rows(d) for d in pair] for pair in st.vectors])
     even = hamming_weights(n) % 2 == 0
-    shots = shots_per_term
-    prefix = table = None
+    prefix = p_even = None
     total = 0.0
     var_total = 0.0
     for idx, (choice, coeff) in enumerate(sorted(expand_correlators(n).items())):
         if choice[:lead] != prefix:   # sorted order visits each prefix once
             prefix = choice[:lead]
-            table = _choice_table(state, rows, prefix)
-        probs = _born_distribution(table[choice[lead:]].reshape(-1))
-        p_even = min(float(probs[even].sum()), 1.0)   # the sum can pass 1 by an ulp
-        k = int(child_rng(seed, idx).binomial(shots, p_even))
+            probs = _born_distribution(_choice_table(state, rows, prefix).reshape(-1, 2**n))
+            p_even = probs[:, even].sum(axis=1).reshape((2,) * (n - lead))
+        # the sum can pass 1 by an ulp
+        k = int(child_rng(seed, idx).binomial(shots, min(float(p_even[choice[lead:]]), 1.0)))
         mean = (2 * k - shots) / shots
         stderr = float(np.sqrt(4 * k * (shots - k) / (shots - 1))) / shots
         if stderr == 0.0:   # every shot agrees

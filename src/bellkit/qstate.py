@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -71,13 +72,21 @@ def require_finite(values, what: str) -> np.ndarray:
     return arr
 
 
+def require_int(value, what: str) -> int:
+    """Return value as a Python int, raising ValueError unless it is an
+    integer (bools and integral floats are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_bases(bases, n: int) -> np.ndarray:
     """Coerce per-qubit measurement directions to an (n, 3) array of unit vectors."""
     arr = np.asarray(bases, dtype=float)
     if arr.shape != (n, 3):
         raise ValueError(f"expected {n} direction 3-vectors, got shape {arr.shape}")
-    norms = np.linalg.norm(arr, axis=1)
-    if np.max(np.abs(norms - 1.0)) > UNIT_ATOL:
+    norms = np.sqrt(np.add.reduce(arr * arr, axis=1))   # np.linalg.norm(arr, axis=1)
+    if not np.abs(norms - 1.0).max() <= UNIT_ATOL:       # NaN fails too
         raise ValueError("all measurement directions must be unit vectors")
     return arr
 
@@ -91,9 +100,7 @@ def x_bases(n: int) -> np.ndarray:
 
 
 def _check_n(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"qubit count must be an integer, got {n!r}")
-    n = int(n)
+    n = require_int(n, "qubit count")
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     return n
@@ -115,9 +122,12 @@ class PureState:
         amp = require_finite(np.array(self.amp, dtype=complex).reshape(-1), "amplitudes")
         if amp.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes for n={n}, got {amp.shape[0]}")
+        # np.linalg.norm bit for bit (the same dots and IEEE sqrt) without its
+        # overhead; the dots still warn on overflow
+        re, im = amp.real, amp.imag
         with np.errstate(over="ignore", under="ignore"):
-            norm = np.linalg.norm(amp)
-        if not 1e-150 <= norm < np.inf:    # the square sum over- or underflowed
+            norm = math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+        if not 1e-150 <= norm < math.inf:    # the square sum over- or underflowed
             scale = np.max(np.abs(amp))
             if scale == 0:
                 raise ValueError("cannot normalize the zero vector")
@@ -207,9 +217,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 def _check_qubit(qubit: int, n: int) -> int:
-    if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)):
-        raise ValueError(f"qubit index must be an integer, got {qubit!r}")
-    q = int(qubit)
+    q = require_int(qubit, "qubit index")
     if not 1 <= q <= n:
         raise ValueError(f"qubit index must be in [1, {n}], got {q}")
     return q
@@ -271,7 +279,15 @@ def spectrum(h: Union[np.ndarray, DensityMatrix]) -> Spectrum:
 
 def _eigenbasis_rows(d: np.ndarray) -> np.ndarray:
     """Rows are <v+| and <v-| for d.sigma, so M @ psi rotates a qubit into the
-    measurement eigenbasis (row 0 <-> outcome +1)."""
+    measurement eigenbasis (row 0 <-> outcome +1).  The result is shared
+    and read-only."""
+    return _eigenbasis_rows_of(np.asarray(d, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=1024)
+def _eigenbasis_rows_of(key: bytes) -> np.ndarray:
+    # keyed by bytes, so inputs equal as floats but not as bits (-0.0, 0.0) never share rows
+    d = np.frombuffer(key)
     # not arccos(d_z): it loses digits near the poles, where |phase| would
     # drift from 1 by eps/theta^2 and the rows would stop being unitary
     st = float(np.hypot(d[0], d[1]))
@@ -280,7 +296,9 @@ def _eigenbasis_rows(d: np.ndarray) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     v_plus = np.array([c, phase * s], dtype=complex)
     v_minus = np.array([s, -phase * c], dtype=complex)
-    return np.array([v_plus.conj(), v_minus.conj()])
+    rows = np.array([v_plus.conj(), v_minus.conj()])
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -311,6 +329,7 @@ def measure_sample(state: PureState, bases, subset: Iterable[int], seed: int) ->
         raise TypeError(f"measure_sample needs a PureState, got {type(state).__name__}")
     n = state.n
     dirs = as_bases(bases, n)
+    seed = require_int(seed, "seed")
     meas = sorted({_check_qubit(q, n) - 1 for q in subset})
     if not meas:
         raise ValueError("subset must be nonempty")
@@ -319,24 +338,18 @@ def measure_sample(state: PureState, bases, subset: Iterable[int], seed: int) ->
     k = len(meas)
     rest = [i for i in range(n) if i not in meas]
     amp = state.amp.reshape([2] * n).transpose(meas + rest).reshape(-1)
-    basis_rows, rows = {}, []    # one eigenbasis per distinct direction; product bases repeat one
-    for q in meas:
-        key = dirs[q].tobytes()
-        if key not in basis_rows:
-            basis_rows[key] = _eigenbasis_rows(dirs[q])
-        rows.append(basis_rows[key])
-    arr = _contract_leading(amp, rows)
+    arr = _contract_leading(amp, [_eigenbasis_rows(dirs[q]) for q in meas])
     arr = arr.reshape(2 ** (n - k), 2**k)
-    probs = _born_distribution((np.abs(arr) ** 2).sum(axis=0))
+    mass = (np.abs(arr) ** 2).sum(axis=0)
+    probs = _born_distribution(mass)
     # the inverse-CDF draw of Generator.choice(p=probs), without re-validating probs
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     idx = int(cdf.searchsorted(np.random.default_rng(seed).random(), side="right"))
-    branch = arr[:, idx]
-    if np.linalg.norm(branch) < 1e-150:
+    if mass[idx] < 1e-300:
         raise RuntimeError("sampled a zero-probability branch (internal error)")
     outcomes = tuple(-1 if (idx >> (k - 1 - i)) & 1 else 1 for i in range(k))
-    return MeasureResult(outcomes, PureState(n - k, branch), float(probs[idx]))
+    return MeasureResult(outcomes, PureState(n - k, arr[:, idx]), float(probs[idx]))
 
 
 def _contract_leading(amp: np.ndarray, rows) -> np.ndarray:
@@ -381,13 +394,15 @@ def _outcome_table(state: State, rows) -> np.ndarray:
 
 
 def _born_distribution(probs: np.ndarray) -> np.ndarray:
-    """Clip round-off negatives and renormalize, raising unless the raw
-    probabilities sum to 1 within PROBABILITY_ATOL."""
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > PROBABILITY_ATOL:
-        raise RuntimeError(f"outcome probabilities sum to {total!r}")
-    return probs / total
+    """Distributions along the last axis: clip round-off negatives and
+    renormalize each row, raising unless every row's raw probabilities sum to
+    1 within PROBABILITY_ATOL (a NaN sum fails the check)."""
+    probs = np.maximum(probs, 0.0)
+    total = probs.sum(axis=-1, keepdims=True)
+    worst = float(total.flat[np.abs(total - 1.0).argmax()])   # argmax picks a NaN first
+    if not abs(worst - 1.0) <= PROBABILITY_ATOL:
+        raise RuntimeError(f"outcome probabilities sum to {worst!r}")
+    return np.divide(probs, total, out=probs)
 
 
 def outcome_distribution(state: State, bases) -> np.ndarray:

@@ -239,6 +239,41 @@ class TestEstimateE:
         with pytest.raises(ValueError):
             estimate_E(ghz_pure(2), ghz_optimal_settings(2), 50, seed=0)
 
+    @pytest.mark.parametrize("bad", [150.5, 200.0, math.inf, True, np.float64(300.0), "300"])
+    def test_non_integer_shots_rejected(self, bad):
+        # 150.5 used to draw 150 shots and divide by 150.5: E = 3.98 on GHZ_3, not 4
+        with pytest.raises(ValueError, match="shots_per_term must be an integer"):
+            estimate_E(ghz_pure(3), ghz_optimal_settings(3), bad, seed=0)
+
+    def test_shots_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="shots_per_term must be in"):
+            estimate_E(ghz_pure(3), ghz_optimal_settings(3), 2**70, seed=0)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.float64(2.0), "1"])
+    def test_non_integer_seed_rejected(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_E(ghz_pure(3), ghz_optimal_settings(3), 200, seed=bad)
+
+    def test_numpy_integer_shots_and_seed_accepted(self, rng):
+        psi, st_ = random_pure(3, rng), Settings(random_unit_vectors(3, rng))
+        assert estimate_E(psi, st_, np.int64(300), np.uint32(4)) == estimate_E(psi, st_, 300, 4)
+
+    @pytest.mark.parametrize("state", ["pure", "mixed", "pieces"])
+    def test_one_row_off_by_1e9_raises(self, state, monkeypatch):
+        # every row of the batched table is checked, not only the first
+        n = 11 if state == "pieces" else 3
+        psi = ghz_pure(n) if state != "mixed" else ghz_pure(n).to_density()
+        original = certify._choice_table
+
+        def skewed(*args):
+            table = original(*args)
+            table.reshape(-1, 2**n)[-1] *= 1 + 1e-9
+            return table
+
+        monkeypatch.setattr(certify, "_choice_table", skewed)
+        with pytest.raises(RuntimeError, match="outcome probabilities sum to"):
+            estimate_E(psi, ghz_optimal_settings(n), 200, seed=0)
+
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError, match="state has 3 qubits but settings have 4"):
             estimate_E(ghz_pure(3), ghz_optimal_settings(4), 200, seed=0)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,50 @@ def walk_sample(state, bases, subset, seed):
     return outcomes, PureState(n - k, branch), float(probs[idx])
 
 
+# unit directions with signed zeros, on and off the poles
+SIGNED_ZEROS = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [1.0, -0.0, 0.0],
+                         [-1.0, 0.0, -0.0], [0.0, 1.0, -0.0], [-0.0, -1.0, 0.0]])
+
+
+def normalized_reference(amp):
+    """Reference: PureState's normalization written with np.linalg.norm."""
+    amp = np.array(amp, dtype=complex).reshape(-1)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(amp)
+    if not 1e-150 <= norm < np.inf:
+        amp = amp / np.max(np.abs(amp))
+        norm = np.linalg.norm(amp)
+    if abs(norm - 1.0) > qstate.PROBABILITY_ATOL / 4:
+        amp = amp / norm
+    return amp
+
+
+def measure_sample_reference(state, bases, subset, seed):
+    """Reference: measure_sample as written with np.linalg.norm for the unit
+    and zero-branch checks, freshly computed eigenbasis rows, np.clip in the
+    Born check and a post-state normalized through np.linalg.norm.  Returns
+    (outcomes, post-state amplitudes, probability)."""
+    n = state.n
+    dirs = np.asarray(bases, dtype=float)
+    assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= qstate.UNIT_ATOL
+    meas = sorted(q - 1 for q in subset)
+    k = len(meas)
+    rest = [i for i in range(n) if i not in meas]
+    amp = state.amp.reshape([2] * n).transpose(meas + rest).reshape(-1)
+    rows = [qstate._eigenbasis_rows_of.__wrapped__(dirs[q].tobytes()) for q in meas]
+    arr = qstate._contract_leading(amp, rows).reshape(2 ** (n - k), 2**k)
+    probs = np.clip((np.abs(arr) ** 2).sum(axis=0), 0.0, None)
+    total = probs.sum()
+    assert abs(total - 1.0) <= qstate.PROBABILITY_ATOL
+    probs = probs / total
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    idx = int(cdf.searchsorted(np.random.default_rng(seed).random(), side="right"))
+    assert np.linalg.norm(arr[:, idx]) >= 1e-150
+    outcomes = tuple(-1 if (idx >> (k - 1 - i)) & 1 else 1 for i in range(k))
+    return outcomes, normalized_reference(arr[:, idx]), float(probs[idx])
+
+
 class TestConstruction:
     def test_normalizing_constructor(self):
         psi = PureState(1, [2.0, 0.0])
@@ -159,6 +204,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityMatrix(1, np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    @given(st.integers(1, 7), st.sampled_from([1e-300, 1e-160, 1e-3, 1.0, 1e150, 1e300]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_normalization_bit_identical_to_linalg_norm(self, n, scale, seed):
+        # 1e-300 and 1e-160 take the underflow rescale, 1e300 the overflow one
+        rng = np.random.default_rng(seed)
+        amp = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n)) * scale
+        assert PureState(n, amp).amp.tobytes() == normalized_reference(amp).tobytes()
+
+    def test_overflowing_norm_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.max(np.abs(PureState(1, [1e308, 1e308]).amp - SQ2)) < 1e-15
+
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_unit_norm_amplitudes_keep_their_bits(self, n, rng):
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -205,6 +264,52 @@ class TestBornSumWindow:
         assert outcome_distribution(rho, dirs).shape == (2**n,)
         assert np.isfinite(estimate_E(rho, Settings(random_unit_vectors(n, rng)),
                                       MIN_SHOTS, seed).value)
+
+
+class TestNaNChecks:
+    """NaN compares False with every tolerance, so each check must be
+    written to fail on it."""
+
+    NAN_DIRECTION = [np.nan, 0.0, 1.0]
+
+    def test_outcome_distribution_rejects_nan_direction(self):
+        with pytest.raises(ValueError, match="unit"):
+            outcome_distribution(ghz_pure(3), [self.NAN_DIRECTION] * 3)
+
+    def test_pauli_expect_rejects_nan_direction(self):
+        with pytest.raises(ValueError, match="unit"):
+            pauli_expect(ghz_pure(3), 1, self.NAN_DIRECTION)
+
+    def test_measure_sample_rejects_nan_on_unmeasured_qubit(self):
+        bases = z_bases(3)
+        bases[2] = self.NAN_DIRECTION
+        with pytest.raises(ValueError, match="unit"):
+            measure_sample(ghz_pure(3), bases, {1}, seed=0)
+
+    def test_born_check_rejects_nan_sum(self):
+        with pytest.raises(RuntimeError, match="nan"):
+            qstate._born_distribution(np.array([[0.5, 0.5], [np.nan, 0.5]]))
+
+
+class TestBornDistributionRows:
+    def test_each_row_clipped_and_normalized(self):
+        probs = np.array([[0.25, 0.75, -1e-17], [0.5, 0.5 + 4e-13, 0.0]])
+        out = qstate._born_distribution(probs)
+        for row, raw in zip(out, probs):
+            clipped = np.clip(raw, 0.0, None)
+            assert row.tobytes() == (clipped / clipped.sum()).tobytes()
+
+    def test_one_bad_row_raises(self):
+        probs = np.full((3, 4), 0.25)
+        probs[1, 2] += 1e-9
+        with pytest.raises(RuntimeError, match="sum to 1.000000001"):
+            qstate._born_distribution(probs)
+
+    def test_input_left_unchanged(self):
+        probs = np.array([0.2, 0.8 + 1e-13])
+        before = probs.copy()
+        qstate._born_distribution(probs)
+        assert np.array_equal(probs, before)
 
 
 class TestTensor:
@@ -435,6 +540,42 @@ class TestMeasureSample:
     def test_density_matrix_rejected(self):
         with pytest.raises(TypeError, match="PureState"):
             measure_sample(ghz_pure(2).to_density(), z_bases(2), {1}, seed=0)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), True, np.True_, "1"])
+    def test_non_integer_seed_rejected(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            measure_sample(ghz_pure(3), z_bases(3), {1}, seed=bad)
+
+    @given(st.integers(2, 7), st.booleans(), st.sampled_from(["x", "z", "random", "signed zeros"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_reference(self, n, ghz, basis, seed):
+        rng = np.random.default_rng(seed)
+        psi = ghz_pure(n) if ghz else random_pure(n, rng)
+        if basis == "random":
+            bases = random_unit_vectors(n, rng)[:, 0]
+        elif basis == "signed zeros":
+            bases = SIGNED_ZEROS[rng.integers(len(SIGNED_ZEROS), size=n)]
+        else:
+            bases = x_bases(n) if basis == "x" else z_bases(n)
+        subset = [int(q) + 1 for q in rng.choice(n, size=int(rng.integers(1, n)), replace=False)]
+        draw = int(rng.integers(2**63))
+        rec = measure_sample(psi, bases, subset, draw)
+        outcomes, post, probability = measure_sample_reference(psi, bases, subset, draw)
+        assert rec.outcomes == outcomes
+        assert rec.post.amp.tobytes() == post.tobytes()
+        assert np.float64(rec.probability).tobytes() == np.float64(probability).tobytes()
+
+    def test_eigenbasis_rows_cached_and_read_only(self, rng):
+        for d in [*random_unit_vectors(4, rng)[:, 0], *SIGNED_ZEROS, np.array([1e-9, 0.0, -1.0])]:
+            rows = qstate._eigenbasis_rows(d)
+            assert qstate._eigenbasis_rows(d.copy()) is rows
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
+            assert rows.tobytes() == qstate._eigenbasis_rows_of.__wrapped__(d.tobytes()).tobytes()
+        # equal as floats, different as bits: cached apart
+        assert qstate._eigenbasis_rows([0.0, 0.0, 1.0]) is not qstate._eigenbasis_rows([-0.0, 0.0, 1.0])
 
     def test_unmeasured_bases_still_validated(self):
         bases = z_bases(3)
