@@ -15,9 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import optimize
-from .bellop import Settings, bell_expectation, expand_correlators
+from .bellop import Settings, _fold, bell_expectation
 from .qstate import (DensityMatrix, PureState, State, _born_distribution, _eigenbasis_rows,
-                     _outcome_table, child_rng, hamming_weights, require_int)
+                     _outcome_table, hamming_weights, require_int)
 
 EXACT_EPSILON = 1e-9        # margin when certifying exact expectations
 ESTIMATE_SIGMA = 4.0        # margin in standard errors for estimates
@@ -27,8 +27,7 @@ TABLE_BITS = 20             # a pure-state outcome table holds at most 2^20 entr
 
 def thresholds(n: int) -> np.ndarray:
     """bound(k) = 2^((n-k+1)/2) for k = 0..n, strictly decreasing."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = require_int(n, "n", 2)
     k = np.arange(n + 1)
     return 2.0 ** ((n - k + 1) / 2.0)
 
@@ -112,8 +111,8 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     standard errors combine in quadrature, weighted by |coefficient|.  A term
     whose shots all agree (k = 0 or N) has no sample spread, so in place of a
     zero it gets the finite-shot floor sqrt(4 p (1-p) / N), with
-    p = (N+1)/(N+2).  Per-term substreams are spawned by counter, so the
-    estimate is reproducible regardless of evaluation order.
+    p = (N+1)/(N+2).  One stream, ``default_rng(seed)``, draws every term's
+    count in one call, in choice-string order (qubit 1 most significant).
 
     The distributions are the rows of one outcome table that measures every
     qubit along both of its directions (4^n entries); every row is checked
@@ -122,10 +121,9 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     of the leading 2n - TABLE_BITS qubits, so that no table exceeds
     2^TABLE_BITS entries.  ``shots_per_term`` and ``seed`` must be integers.
     """
-    shots = require_int(shots_per_term, "shots_per_term")
-    seed = require_int(seed, "seed")
-    if not MIN_SHOTS <= shots < 2**63:   # the binomial draw takes an int64
-        raise ValueError(f"shots_per_term must be in [{MIN_SHOTS}, 2^63), got {shots}")
+    # the binomial draw takes an int64
+    shots = require_int(shots_per_term, "shots_per_term", MIN_SHOTS, 2**63 - 1)
+    seed = require_int(seed, "seed", 0)
     if state.n != st.n:
         raise ValueError(f"state has {state.n} qubits but settings have {st.n}")
     n = st.n
@@ -133,25 +131,20 @@ def estimate_E(state: State, st: Settings, shots_per_term: int, seed: int) -> Es
     # rows[j, c, b] = <outcome b of direction c of qubit j+1|  (b = 0 is +1)
     rows = np.array([[_eigenbasis_rows(d) for d in pair] for pair in st.vectors])
     even = hamming_weights(n) % 2 == 0
-    prefix = p_even = None
-    total = 0.0
-    var_total = 0.0
-    for idx, (choice, coeff) in enumerate(sorted(expand_correlators(n).items())):
-        if choice[:lead] != prefix:   # sorted order visits each prefix once
-            prefix = choice[:lead]
-            probs = _born_distribution(_choice_table(state, rows, prefix).reshape(-1, 2**n))
-            p_even = probs[:, even].sum(axis=1).reshape((2,) * (n - lead))
-        # the sum can pass 1 by an ulp
-        k = int(child_rng(seed, idx).binomial(shots, min(float(p_even[choice[lead:]]), 1.0)))
-        mean = (2 * k - shots) / shots
-        stderr = float(np.sqrt(4 * k * (shots - k) / (shots - 1))) / shots
-        if stderr == 0.0:   # every shot agrees
-            p = (shots + 1) / (shots + 2)
-            stderr = float(np.sqrt(4 * p * (1 - p) / shots))
-        w = float(coeff)
-        total += w * mean
-        var_total += (w * stderr) ** 2
-    return EstimateResult(total, float(np.sqrt(var_total)))
+    tables = (_choice_table(state, rows, prefix).reshape(-1, 2**n)
+              for prefix in np.ndindex((2,) * lead))
+    # p_even of every choice string, qubit 1 most significant
+    p_even = np.concatenate([_born_distribution(t)[:, even].sum(axis=1) for t in tables])
+    coeffs = _fold([np.eye(2)] * n).real   # the expansion of expand_correlators
+    terms = np.flatnonzero(coeffs)
+    w = coeffs[terms]
+    # the sum can pass 1 by an ulp; floats keep 2k and 4k(N-k) clear of int64
+    k = np.random.default_rng(seed).binomial(shots, np.minimum(p_even[terms], 1.0)).astype(float)
+    mean = (2 * k - shots) / shots
+    stderr = np.sqrt(4 * k * (shots - k) / (shots - 1)) / shots
+    p = (shots + 1) / (shots + 2)
+    stderr[stderr == 0.0] = np.sqrt(4 * p * (1 - p) / shots)   # every shot agrees
+    return EstimateResult(float(np.sum(w * mean)), float(np.sqrt(np.sum((w * stderr) ** 2))))
 
 
 QUOTED_RHO3_VALUE = 2.0 * (1.0 + np.sqrt(2.0))  # historically quoted maximum

@@ -15,7 +15,7 @@ import numpy as np
 from . import symstate
 from .qstate import (DensityMatrix, PureState, State, child_rng, fidelity,
                      measure_sample, outcome_distribution, partial_trace, pauli_expect,
-                     spectrum, x_bases, z_bases)
+                     require_int, spectrum, x_bases, z_bases)
 
 BLOCH_MAXIMAL_ATOL = 1e-10      # "all Bloch vectors vanish" threshold
 DISTRIBUTE_FIDELITY_ATOL = 1e-10
@@ -97,6 +97,7 @@ def distribute_check(n: int, k: int, trials: int, seed: int) -> DistributeReport
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
+    seed = require_int(seed, "seed", 0)
     ghz_n = symstate.embed(symstate.ghz(n, +1))
     targets = {s: symstate.embed(symstate.ghz(n - k, s)) for s in (+1, -1)}
     zero_prod = PureState.basis(n - 1, 0)
@@ -199,8 +200,11 @@ def schmidt_map(n: int, m: int) -> np.ndarray:
 
 def mm_example_states() -> dict[str, symstate.SymState]:
     """The known states whose floor(n/2)-qubit partial spectra are maximally
-    mixed, labeled "n:variant".  They exist for n = 2, 3, 4 and 6 only; the
-    sqrt(2)/sqrt(3) coefficients force numeric (non-rational) entries."""
+    mixed, labeled "n:variant".  For n <= 8, search_mm_partial finds such
+    states at n = 2, 3, 4 and 6 only: 200 restarts end at 1/150 for n = 5,
+    1/196 for n = 7 and 2/103 for n = 8.  That is numerical evidence, not a
+    proof.  The sqrt(2)/sqrt(3) coefficients force numeric (non-rational)
+    entries."""
     s3 = np.sqrt(3.0)
     states = {
         "3:+1": symstate.SymState(3, [1, 0, 0, 1]),

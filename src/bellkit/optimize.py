@@ -46,7 +46,7 @@ import numpy as np
 from . import criteria, symstate
 from .bellop import (Settings, _correlation_tensor, _factors, _fold, _kron, _pauli_factors,
                      _top_eigenpair, bell_expectation, bell_operator)
-from .qstate import PureState, State, child_rng, state_to_json
+from .qstate import PureState, State, child_rng, require_int, state_to_json
 
 MAX_ITERATIONS = 500      # per-restart iteration cap
 ASCENT_SLACK = 1e-12      # allowed arithmetic regression per accepted step
@@ -213,8 +213,8 @@ def _multistart(search, finish, restarts: int, seed: int, tol: float,
     into ``(settings, state, value)`` with the value recomputed
     independently.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    restarts = require_int(restarts, "restarts", 1)
+    seed = require_int(seed, "seed", 0)
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     sign = 1.0 if direction == "max" else -1.0

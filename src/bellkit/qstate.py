@@ -72,11 +72,14 @@ def require_finite(values, what: str) -> np.ndarray:
     return arr
 
 
-def require_int(value, what: str) -> int:
+def require_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """Return value as a Python int, raising ValueError unless it is an
-    integer (bools and integral floats are rejected)."""
+    integer (not a bool or float) in [low, high]; None leaves a side open."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{what} must be {bound}, got {value}")
     return int(value)
 
 
@@ -100,10 +103,7 @@ def x_bases(n: int) -> np.ndarray:
 
 
 def _check_n(n: int) -> int:
-    n = require_int(n, "qubit count")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    return n
+    return require_int(n, "qubit count", 1, MAX_QUBITS)
 
 
 @dataclass(frozen=True)
@@ -217,10 +217,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 def _check_qubit(qubit: int, n: int) -> int:
-    q = require_int(qubit, "qubit index")
-    if not 1 <= q <= n:
-        raise ValueError(f"qubit index must be in [1, {n}], got {q}")
-    return q
+    return require_int(qubit, "qubit index", 1, n)
 
 
 def pauli_expect(state: State, qubit: int, d: Sequence[float]) -> float:
@@ -329,7 +326,7 @@ def measure_sample(state: PureState, bases, subset: Iterable[int], seed: int) ->
         raise TypeError(f"measure_sample needs a PureState, got {type(state).__name__}")
     n = state.n
     dirs = as_bases(bases, n)
-    seed = require_int(seed, "seed")
+    seed = require_int(seed, "seed", 0)
     meas = sorted({_check_qubit(q, n) - 1 for q in subset})
     if not meas:
         raise ValueError("subset must be nonempty")

@@ -18,22 +18,25 @@ from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
 
 def per_term_estimate(state, st_, shots, seed):
     """Reference estimator: one outcome_distribution call per correlator term,
-    in sorted term order, each term's even-parity count drawn from its own
-    counter substream and read through the closed forms that
-    test_closed_forms_match_sample_moments checks against the shots."""
+    in sorted term order, each term's even-parity count drawn as one scalar
+    binomial from a single default_rng(seed) and read through the closed
+    forms that test_closed_forms_match_sample_moments checks against the
+    shots.  The terms' contributions are summed with np.sum, as estimate_E
+    sums them."""
     even = np.array([bin(i).count("1") % 2 == 0 for i in range(2**st_.n)])
-    total = var_total = 0.0
-    for idx, (choice, coeff) in enumerate(sorted(expand_correlators(st_.n).items())):
+    rng = np.random.default_rng(seed)
+    parts, var_parts = [], []
+    for choice, coeff in sorted(expand_correlators(st_.n).items()):
         bases = np.array([st_.vectors[j, c] for j, c in enumerate(choice)])
         p_even = min(float(outcome_distribution(state, bases)[even].sum()), 1.0)
-        k = int(child_rng(seed, idx).binomial(shots, p_even))
+        k = int(rng.binomial(shots, p_even))
         stderr = float(np.sqrt(4 * k * (shots - k) / (shots - 1))) / shots
         if k in (0, shots):
             p = (shots + 1) / (shots + 2)
             stderr = float(np.sqrt(4 * p * (1 - p) / shots))
-        total += float(coeff) * ((2 * k - shots) / shots)
-        var_total += (float(coeff) * stderr) ** 2
-    return certify.EstimateResult(total, float(np.sqrt(var_total)))
+        parts.append(float(coeff) * ((2 * k - shots) / shots))
+        var_parts.append((float(coeff) * stderr) ** 2)
+    return certify.EstimateResult(float(np.sum(parts)), float(np.sqrt(np.sum(var_parts))))
 
 
 class TestThresholds:
@@ -54,6 +57,12 @@ class TestThresholds:
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError):
             thresholds(1)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+    def test_non_integer_n_rejected(self, bad):
+        # 2.5 used to return a 4-entry ladder
+        with pytest.raises(ValueError, match="n must be an integer"):
+            thresholds(bad)
 
 
 class TestCertifyDepth:
@@ -99,6 +108,11 @@ class TestCertifyDepth:
     def test_non_finite_rejected(self, value, epsilon):
         with pytest.raises(ValueError, match="finite"):
             certify_depth(value, 3, epsilon=epsilon)
+
+    def test_non_integer_n_rejected(self):
+        # used to raise a TypeError from range(n + 1)
+        with pytest.raises(ValueError, match="n must be an integer, got 3.5"):
+            certify_depth(3.0, 3.5)
 
     def test_json_schema(self):
         obj = certify_depth(2.5, 3).to_json()
@@ -254,6 +268,10 @@ class TestEstimateE:
         with pytest.raises(ValueError, match="seed must be an integer"):
             estimate_E(ghz_pure(3), ghz_optimal_settings(3), 200, seed=bad)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -3"):
+            estimate_E(ghz_pure(3), ghz_optimal_settings(3), 200, seed=-3)
+
     def test_numpy_integer_shots_and_seed_accepted(self, rng):
         psi, st_ = random_pure(3, rng), Settings(random_unit_vectors(3, rng))
         assert estimate_E(psi, st_, np.int64(300), np.uint32(4)) == estimate_E(psi, st_, 300, 4)
@@ -289,6 +307,13 @@ class TestEstimateE:
         for st_ in (ghz_optimal_settings(n), Settings(random_unit_vectors(n, rng))):
             for seed in (0, 5, 9):
                 assert estimate_E(state, st_, 300, seed) == per_term_estimate(state, st_, 300, seed)
+
+    def test_pieced_pure_table_matches_per_term_reference(self, rng):
+        # above n = TABLE_BITS / 2 the outcome table comes in 2^(2n - 20) pieces
+        n = 11
+        state = random_pure(n, rng)
+        for st_ in (ghz_optimal_settings(n), Settings(random_unit_vectors(n, rng))):
+            assert estimate_E(state, st_, 300, 7) == per_term_estimate(state, st_, 300, 7)
 
     def test_pure_table_is_built_in_pieces(self):
         # one 4^12-entry table of float64 would take 128 MiB

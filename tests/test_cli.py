@@ -21,9 +21,9 @@ def run_cli(capsys, *argv):
 WERNER5_ESTIMATE_STDOUT = """\
 {
   "certificate": {
-    "E": 6.024,
+    "E": 6.014,
     "certified_entangled": 5,
-    "epsilon": 0.11772650408842711,
+    "epsilon": 0.11794381446979676,
     "flags": [],
     "max_consistent_independent": 0,
     "n": 5,
@@ -46,8 +46,8 @@ WERNER5_ESTIMATE_STDOUT = """\
     "state": "state.json"
   },
   "estimate": {
-    "E": 6.024,
-    "stderr": 0.029431626022106777
+    "E": 6.014,
+    "stderr": 0.02948595361744919
   }
 }
 """
@@ -138,6 +138,12 @@ class TestBellmax:
         assert set(counts) == {"converged", "stalled", "capped"}
         assert sum(counts.values()) == 4
 
+    def test_negative_seed_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bellmax", "--n", "3", "--seed", "-2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be at least 0, got -2\n"
+
     @pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--restarts", "-1"),
                                             ("--tol", "nan"), ("--tol", "inf"),
                                             ("--tol", "0")])
@@ -197,8 +203,18 @@ class TestCertify:
     def test_estimate_replays_ghz6(self, capsys, tmp_path, monkeypatch):
         code, out, _ = run_estimate(capsys, tmp_path, monkeypatch, ghz_pure(6), 6)
         assert code == 0
-        assert json.loads(out)["estimate"] == {"E": 11.374500000000005,
-                                                    "stderr": 0.03145107347152488}
+        assert json.loads(out)["estimate"] == {"E": 11.339749999999999,
+                                                    "stderr": 0.031548016695645296}
+
+    def test_estimate_negative_seed_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        qstate.save_state("state.json", ghz_pure(3))
+        ghz_optimal_settings(3).save("settings.json")
+        code, out, err = run_cli(capsys, "certify", "--estimate", "--state", "state.json",
+                                 "--settings", "settings.json", "--seed", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be at least 0, got -3\n"
 
     def test_estimate_non_finite_state_usage_error(self, capsys, tmp_path):
         state_file = tmp_path / "nan.json"

@@ -165,6 +165,12 @@ class TestDistribute:
         with pytest.raises(ValueError, match="trial"):
             distribute_check(3, 1, trials=trials, seed=0)
 
+    @pytest.mark.parametrize("bad,message", [(-1, "seed must be at least 0, got -1"),
+                                             (1.5, "seed must be an integer, got 1.5")])
+    def test_bad_seed_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            distribute_check(3, 1, trials=5, seed=bad)
+
 
 class TestMutualInformation:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -224,6 +230,20 @@ class TestMMPartial:
         # (9 + 16 + 9)/100 - 1/3 = 1/150
         res = mm_partial_residual(symstate.SymState(n, c))
         assert res.residual == pytest.approx(1 / 150, abs=1e-15)
+
+    def test_n7_witness_partial_state(self):
+        # |D1> + |D6>, the n = 5 witness pattern |D1> + |D_{n-1}> one size up;
+        # the same integer argument as for n = 5, with m = 3
+        n, m, c = 7, 3, [0, 1, 0, 0, 0, 0, 1, 0]
+        squares = [[comb(m, k) * comb(m, kp)
+                    * sum(c[k + l] * c[kp + l] * comb(n - m, l) for l in range(n - m + 1)) ** 2
+                    for kp in range(m + 1)] for k in range(m + 1)]
+        assert squares == [[16, 0, 0, 0], [0, 9, 0, 0], [0, 0, 9, 0], [0, 0, 0, 16]]
+        assert sum(cj * cj * comb(n, j) for j, cj in enumerate(c)) == 14
+        # so M M^H / |M|^2 = diag(4, 3, 3, 4)/14, and the residual is
+        # (16 + 9 + 9 + 16)/196 - 1/4 = 1/196
+        res = mm_partial_residual(symstate.SymState(n, c))
+        assert res.residual == pytest.approx(1 / 196, abs=1e-15)
 
     def test_target_shape(self):
         res = mm_partial_residual(symstate.ghz(6, 1))

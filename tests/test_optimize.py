@@ -399,6 +399,26 @@ class TestMultistartDriver:
         with pytest.raises(ValueError, match="restarts|tol"):
             OPTIMIZERS[kind](2, 0, **kwargs)
 
+    def test_non_integer_seed_rejected(self):
+        # numpy's SeedSequence used to raise a TypeError that named no argument
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            max_violation_settings(ghz_pure(3), restarts=1, seed=1.5)
+
+    def test_bool_restarts_rejected(self):
+        # True used to run as one restart
+        with pytest.raises(ValueError, match="restarts must be an integer, got True"):
+            search_mm_partial(3, restarts=True)
+
+    @pytest.mark.parametrize("run", [
+        lambda: max_violation_settings(ghz_pure(2), restarts=1, seed=-2),
+        lambda: max_eigen_settings(2, restarts=1, seed=-2),
+        lambda: product_bound_max(2, 1, restarts=1, seed=-2),
+        lambda: search_mm_partial(2, restarts=1, seed=-2)],
+        ids=["violation", "eigen", "product", "mm"])
+    def test_negative_seed_rejected(self, run):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -2"):
+            run()
+
     @staticmethod
     def run_toy(search, monkeypatch):
         """One restart of a toy search whose iterate is its own value."""

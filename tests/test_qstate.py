@@ -546,6 +546,11 @@ class TestMeasureSample:
         with pytest.raises(ValueError, match="seed must be an integer"):
             measure_sample(ghz_pure(3), z_bases(3), {1}, seed=bad)
 
+    def test_negative_seed_rejected(self):
+        # numpy's "expected non-negative integer" named no argument
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            measure_sample(ghz_pure(3), z_bases(3), {1}, seed=-1)
+
     @given(st.integers(2, 7), st.booleans(), st.sampled_from(["x", "z", "random", "signed zeros"]),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
