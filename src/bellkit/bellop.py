@@ -46,7 +46,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .qstate import (MAX_QUBITS, PAULI_X, PAULI_Y, PAULI_Z, PureState, State, _contract_leading,
-                     _contract_pairs, _read_json, as_bases, require_finite)
+                     _contract_pairs, _read_json, as_bases, require_finite, require_int)
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 MAX_OPERATOR_QUBITS = 12   # dense 2^n operators
@@ -165,8 +165,7 @@ def _assignment_table(n: int) -> np.ndarray:
     """G on all 4^n deterministic assignments, qubit 1 most significant and
     each qubit's (a, a') ordered (1, 1), (1, -1), (-1, 1), (-1, -1); every
     entry is a Gaussian integer, exact in float64."""
-    if not 1 <= n <= MAX_ENUM_QUBITS:
-        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_QUBITS}")
+    n = require_int(n, "n", 1, MAX_ENUM_QUBITS)
     return _fold([(np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))] * n)
 
 
@@ -216,7 +215,7 @@ class CorrelatorPoly:
         return len(self.coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # so True or 3.0 never hits the entry of 1 or 3
 def expand_correlators(n: int) -> CorrelatorPoly:
     """Exact expansion of F_n over choice strings, computed once per n.
 
@@ -224,8 +223,7 @@ def expand_correlators(n: int) -> CorrelatorPoly:
     by choice string (qubit 1 most significant); they are dyadic rationals,
     exact in float64, and the nonzero ones become Fractions in sorted order.
     """
-    if not 1 <= n <= 14:
-        raise ValueError("expansion supports 1 <= n <= 14")
+    n = require_int(n, "n", 1, MAX_QUBITS)
     table = _fold([np.eye(2)] * n).real.tolist()
     return CorrelatorPoly(n, {choice: Fraction(v) for choice, v
                               in zip(itertools.product((0, 1), repeat=n), table) if v})
@@ -346,8 +344,7 @@ def ghz_optimal_settings(n: int) -> Settings:
     n = 3 (mod 4) and s = +1 otherwise; at n = 1 (mod 4) both signs tie and
     +1 is kept.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = require_int(n, "n", 2)
     sign = -1 if n % 4 == 3 else 1
 
     def xy(phi: float) -> np.ndarray:

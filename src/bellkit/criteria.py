@@ -61,7 +61,7 @@ def depolarize(rho: DensityMatrix, t: float) -> DensityMatrix:
     p = exp(-4t).  Equivalently every weight-w Pauli-string component decays
     by exp(-4wt).
     """
-    if t < 0:
+    if not t >= 0:    # NaN fails too
         raise ValueError("time must be nonnegative")
     n = rho.n
     p = float(np.exp(-NOISE_RATE * t))
@@ -93,10 +93,9 @@ def distribute_check(n: int, k: int, trials: int, seed: int) -> DistributeReport
     odd number.  Each trial also measures one qubit in the z-basis and
     verifies the remainder collapses to the all-0 or all-1 product state.
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got trials={trials}")
+    n = require_int(n, "n", 2)
+    k = require_int(k, "k", 1, n - 1)
+    trials = require_int(trials, "trials", 1)
     seed = require_int(seed, "seed", 0)
     ghz_n = symstate.embed(symstate.ghz(n, +1))
     targets = {s: symstate.embed(symstate.ghz(n - k, s)) for s in (+1, -1)}

@@ -297,8 +297,7 @@ def max_eigen_settings(n: int, restarts: int = 20, tol: float = 1e-9,
     the closed-form top eigenpair (bellop._top_eigenpair, no 2^n eigenproblem)
     with coordinate ascent on that eigenvector; the reported optimum is
     re-verified by dense eigvalsh."""
-    if not 2 <= n <= 10:
-        raise ValueError("eigenvalue optimization supports 2 <= n <= 10")
+    n = require_int(n, "n", 2, 10)
 
     def ascent(rng):
         vectors = _random_unit_vectors(rng, n)
@@ -327,8 +326,8 @@ def product_bound_max(n: int, m: int, restarts: int = 20, tol: float = 1e-8,
     op_b (_kron of their qubits' z_j.sigma), so with the other parts fixed
     part b is the top eigenvector of c_b op_b + h.c., c_b the product of
     the other parts' <p|op|p>."""
-    if not 1 <= m < n <= 8:
-        raise ValueError("need 1 <= m < n <= 8")
+    n = require_int(n, "n", 2, 8)
+    m = require_int(m, "m", 1, n - 1)
     sizes = [n - m] + [1] * m
     edges = np.cumsum([0, *sizes])
 
@@ -403,8 +402,7 @@ def search_mm_partial(n: int, restarts: int = 50, tol: float = 1e-12,
     a stubborn floor over many restarts is recorded as empirical evidence of
     nonexistence (as happens for n = 5), never as a proof.
     """
-    if not 2 <= n <= 8:
-        raise ValueError("search supports 2 <= n <= 8")
+    n = require_int(n, "n", 2, 8)
 
     def descent(rng):
         theta = rng.normal(size=2 * n + 2)

@@ -227,10 +227,9 @@ def pauli_expect(state: State, qubit: int, d: Sequence[float]) -> float:
     if isinstance(state, PureState):
         a = np.moveaxis(state.amp.reshape([2] * state.n), q - 1, 0).reshape(2, -1)
         return float(np.vdot(a, op @ a).real)
-    if state.n == 1:
-        return float(np.trace(state.mat @ op).real)
-    reduced = partial_trace(state, {q})
-    return float(np.trace(reduced.mat @ op).real)
+    rows = [np.eye(2).reshape(1, 4)] * state.n   # tr(rho (I (x) .. op .. (x) I))
+    rows[q - 1] = op.T.reshape(1, 4)
+    return float(_contract_pairs(state.mat, rows)[0])
 
 
 def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:

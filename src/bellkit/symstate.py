@@ -37,7 +37,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .qstate import PureState, _check_n, _read_json, hamming_weights, require_finite
+from .qstate import (MAX_QUBITS, PureState, _check_n, _read_json, hamming_weights,
+                     require_finite, require_int)
 
 
 @dataclass(frozen=True)
@@ -195,16 +196,21 @@ class SymState:
 
 def inner(j: int, k: int, n: int) -> int:
     """<j,n|k,n> = delta_jk * C(n,j), exactly."""
-    for idx in (j, k):
-        if not 0 <= idx <= n:
-            raise ValueError(f"index {idx} out of range for n={n}")
+    n = require_int(n, "n", 0)
+    j, k = require_int(j, "j", 0, n), require_int(k, "k", 0, n)
     return comb(n, j) if j == k else 0
+
+
+def _check_sign(sign: int) -> int:
+    """The sign of a GHZ-type state: the integer +1 or -1 (not a bool or float)."""
+    if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    return int(sign)
 
 
 def ghz(n: int, sign: int = 1) -> SymState:
     """|0,n> + sign |n,n> (unnormalized)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    n, sign = require_int(n, "n", 1, MAX_QUBITS), _check_sign(sign)
     coeff = [0] * (n + 1)
     coeff[0], coeff[n] = 1, sign
     return SymState(n, coeff)
@@ -242,22 +248,16 @@ def embed_vector(state: SymState) -> np.ndarray:
 
 
 def embed(state: SymState) -> PureState:
-    """Normalized dense PureState; raises on the zero state."""
-    vec = embed_vector(state)
-    norm = np.linalg.norm(vec)
-    if norm < 1e-150:
-        raise ValueError("cannot embed the zero symmetric state")
-    return PureState(state.n, vec)
+    """Normalized dense PureState; PureState raises on the zero state."""
+    return PureState(state.n, embed_vector(state))
 
 
 def split(j: int, n: int, m: int) -> list[tuple[int, int]]:
     """Decomposition |j,n> = sum_k |k,m> (x) |j-k, n-m| over the first m and
     remaining n-m qubits.  Returns (k, coefficient) pairs; every surviving
     coefficient is exactly 1."""
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"index {j} out of range for n={n}")
+    n = require_int(n, "n", 2)
+    m, j = require_int(m, "m", 1, n - 1), require_int(j, "j", 0, n)
     lo = max(0, j - (n - m))
     hi = min(j, m)
     return [(k, 1) for k in range(lo, hi + 1)]
@@ -299,8 +299,7 @@ def ghz_y_form(n: int, sign: int = 1) -> SymState:
     Its embedding is proportional to embed_vector(ghz(n, sign)); the global
     scale is sign * (2i)^n, of magnitude 2^n.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    n, sign = require_int(n, "n", 1, MAX_QUBITS), _check_sign(sign)
     coeffs = []
     for k in range(n + 1):
         term = i_power(k) + i_power(n - k).scale(Fraction(sign))
@@ -317,12 +316,12 @@ class BellBasisState:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        sign = _check_sign(self.sign)
         bits = tuple(int(b) for b in self.bits)
         if len(bits) != self.n or any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be a 0/1 tuple of length n")
         object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "sign", sign)
 
     def to_pure(self) -> PureState:
         idx = int("".join(map(str, self.bits)), 2)
@@ -337,9 +336,7 @@ def bell_basis(n: int) -> list[BellBasisState]:
     """The 2^n orthonormal GHZ-type states (|b> +/- |~b>)/sqrt(2) with the
     first bit of b fixed to 0.  Each is the + GHZ state up to bit flips on a
     subset of qubits (and a sign)."""
-    n = _check_n(n)
-    if n < 2:
-        raise ValueError("bell_basis needs n >= 2")
+    n = require_int(n, "qubit count", 2, MAX_QUBITS)
     states = []
     for idx in range(2 ** (n - 1)):
         bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))

@@ -25,7 +25,7 @@ class CheckResult:
     description: str
     passed: bool
     details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    seconds: float = 0.0          # wall time, set by run_all
 
     def __post_init__(self):
         self.passed = bool(self.passed)   # a check's flag may end as a numpy bool
@@ -35,16 +35,6 @@ class CheckResult:
         return f"{status}  {self.check_id}: {self.description}"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CheckResult:
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.seconds = time.perf_counter() - start
-        return result
-    return wrapper
-
-
-@_timed
 def check_lhv_bound(fast: bool = False) -> CheckResult:
     """Exhaustive deterministic-assignment maximum of F_n equals 2 exactly."""
     top = 6 if fast else 10
@@ -54,7 +44,6 @@ def check_lhv_bound(fast: bool = False) -> CheckResult:
         all(v == 2 for v in values.values()), {"values": values})
 
 
-@_timed
 def check_operator_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """B_n^2 <= 2^(n+1) on random settings by bellop.bound_check's closed form,
     itself matched to dense eigvalsh(B_n) at n <= 6; GHZ settings reach 2^((n+1)/2)."""
@@ -89,7 +78,6 @@ def check_operator_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckR
              "dense_spectrum_error": dense_err})
 
 
-@_timed
 def check_ghz_angles(fast: bool = False) -> CheckResult:
     """<B_n> on the GHZ state at the regular xy-angle recipe saturates
     2^((n+1)/2)."""
@@ -105,7 +93,6 @@ def check_ghz_angles(fast: bool = False) -> CheckResult:
         worst <= 1e-9, {"worst_error": worst})
 
 
-@_timed
 def check_optimizer_recovery(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """max_eigen_settings recovers 2^((n+1)/2) within 1e-6."""
     top = 4 if fast else 6
@@ -120,7 +107,6 @@ def check_optimizer_recovery(fast: bool = False, seed: int = DEFAULT_SEED) -> Ch
         f"{restarts} restarts", worst <= 1e-6, {"worst_error": worst})
 
 
-@_timed
 def check_independent_subset_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """Joint state/settings optimization over (block) x (m product qubits)
     reaches exactly 2^((n-m+1)/2)."""
@@ -139,7 +125,6 @@ def check_independent_subset_bound(fast: bool = False, seed: int = DEFAULT_SEED)
         worst <= 1e-5, {"worst_error": worst, "values": values})
 
 
-@_timed
 def check_f_decomposition(fast: bool = False) -> CheckResult:
     """F_n = ((F_{n-m}+F'_{n-m}) F_m + (F_{n-m}-F'_{n-m}) F'_m) / 4 exactly
     on every assignment: F = Re G and F' = Im G read from the exact tables
@@ -159,7 +144,6 @@ def check_f_decomposition(fast: bool = False) -> CheckResult:
         worst == 0, {"max_deviation": worst})
 
 
-@_timed
 def check_fragility(fast: bool = False) -> CheckResult:
     """GHZ fragility = 3n with I/2 single-qubit reductions; exact noise
     channel composes; fidelity-decay slope matches -fragility."""
@@ -202,7 +186,6 @@ def check_fragility(fast: bool = False) -> CheckResult:
              "slope_error": slope_err})
 
 
-@_timed
 def check_distribution(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """x-basis measurements on GHZ leave the remaining qubits on the
     parity-matched GHZ state, every trial."""
@@ -222,7 +205,6 @@ def check_distribution(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckRes
         ok, {"worst_fidelity_error": worst})
 
 
-@_timed
 def check_mutual_information(fast: bool = False) -> CheckResult:
     """GHZ gives n-1 bits in the computational basis; the symmetric 2-qubit
     triplet gives 1 bit."""
@@ -242,7 +224,6 @@ def check_mutual_information(fast: bool = False) -> CheckResult:
         "triplet = 1 bit", ok, {"worst_error": worst, "triplet_error": worst_tri})
 
 
-@_timed
 def check_mm_partial_states(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """Every cataloged state passes the maximally-mixed partial-state test;
     the n=5 search bottoms out well above zero (empirical floor, recorded,
@@ -270,7 +251,6 @@ def _ket(n: int, j: int) -> symstate.SymState:
     return symstate.SymState(n, [1 if i == j else 0 for i in range(n + 1)])
 
 
-@_timed
 def check_symmetric_identities(fast: bool = False) -> CheckResult:
     """Inner products, split decomposition, z->x transform and the GHZ x/y
     forms, all via exact embedding (zero deviation up to one global scale
@@ -321,7 +301,6 @@ def check_symmetric_identities(fast: bool = False) -> CheckResult:
         ok, {})
 
 
-@_timed
 def check_entangled_basis(fast: bool = False) -> CheckResult:
     """The 2^n GHZ-type states form an orthonormal basis (Gram = identity)."""
     top = 6 if fast else 8
@@ -336,7 +315,6 @@ def check_entangled_basis(fast: bool = False) -> CheckResult:
         worst <= 1e-12, {"worst_gram_error": worst})
 
 
-@_timed
 def check_worked_example(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """The singlet/up mixture certifies exactly 2 entangled qubits; the
     quoted maximum 2(1+sqrt(2)) exceeds the quantum cap and is flagged."""
@@ -352,7 +330,6 @@ def check_worked_example(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckR
         ok, rep.to_json())
 
 
-@_timed
 def check_shot_noise(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
     """Finite-shot estimates of E(F_3) on GHZ land within 4 standard errors
     of the exact value in at least 95% of seeded repetitions."""
@@ -396,4 +373,11 @@ ALL_CHECKS = [
 
 
 def run_all(fast: bool = False) -> list[CheckResult]:
-    return [check(fast=fast) for check in ALL_CHECKS]
+    """Run every check in order, setting each result's wall time."""
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        result = check(fast=fast)
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results

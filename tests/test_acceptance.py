@@ -14,7 +14,7 @@ from bellkit import verification
 
 
 def _report(result: verification.CheckResult) -> None:
-    print(f"\n{result.line()}  [{result.seconds:.1f}s] {result.details}")
+    print(f"\n{result.line()}  {result.details}")
     assert result.passed, result.line()
 
 

@@ -137,6 +137,10 @@ class TestDepolarize:
         with pytest.raises(ValueError):
             depolarize(random_density(1, rng), -0.1)
 
+    def test_nan_time_rejected(self, rng):
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            depolarize(random_density(1, rng), float("nan"))
+
     def test_fidelity_slope_matches_fragility(self):
         psi = ghz_pure(3)
         rep = fragility(psi)

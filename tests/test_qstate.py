@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellkit import qstate
+from bellkit import bellop, criteria, optimize, qstate, symstate
 from bellkit.bellop import Settings
 from bellkit.certify import MIN_SHOTS, estimate_E
 from bellkit.qstate import (DensityMatrix, PureState, measure_sample,
@@ -372,6 +372,13 @@ class TestPauliExpect:
             via_trace = np.trace(reduced.mat @ qstate.pauli_dot(d)).real
             assert pauli_expect(psi, q, d) == pytest.approx(via_trace, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_density_matches_pure_path(self, n, rng):
+        psi = random_pure(n, rng)
+        rho = psi.to_density()
+        for q, d in enumerate(random_unit_vectors(n, rng)[:, 0], start=1):
+            assert abs(pauli_expect(rho, q, d) - pauli_expect(psi, q, d)) <= 1e-15
+
 
 class TestPartialTrace:
     @pytest.mark.parametrize("n", [2, 3, 6])
@@ -465,6 +472,59 @@ class TestQubitIndex:
         b = measure_sample(psi, x_bases(3), [2], seed=5)
         assert a.outcomes == b.outcomes
         assert np.array_equal(a.post.amp, b.post.amp)
+
+
+class TestIntegerArguments:
+    """Every public count, index and sign goes through one rule: a float or a
+    bool fails with a ValueError naming the argument, a numpy integer passes."""
+
+    CASES = {
+        "max_eigen_settings": (lambda: optimize.max_eigen_settings(2.5),
+                               "n must be an integer, got 2.5"),
+        "search_mm_partial": (lambda: optimize.search_mm_partial(5.0),
+                              "n must be an integer, got 5.0"),
+        "product_bound_max": (lambda: optimize.product_bound_max(4, 1.5),
+                              "m must be an integer, got 1.5"),
+        "ghz_optimal_settings": (lambda: bellop.ghz_optimal_settings(2.5),
+                                 "n must be an integer, got 2.5"),
+        "lhv_max": (lambda: bellop.lhv_max(2.0), "n must be an integer, got 2.0"),
+        "expand_correlators": (lambda: bellop.expand_correlators(True),
+                               "n must be an integer, got True"),
+        "ghz-n": (lambda: symstate.ghz(2.5), "n must be an integer, got 2.5"),
+        "ghz-sign": (lambda: symstate.ghz(3, 1.0), r"sign must be \+1 or -1, got 1.0"),
+        "split": (lambda: symstate.split(2, 3, 1.5), "m must be an integer, got 1.5"),
+        "inner-float": (lambda: symstate.inner(0, 0, 2.5), "n must be an integer, got 2.5"),
+        "inner-bool": (lambda: symstate.inner(1, 1, True), "n must be an integer, got True"),
+        "BellBasisState": (lambda: symstate.BellBasisState(2, (0, 1), 1.0),
+                           r"sign must be \+1 or -1, got 1.0"),
+        "distribute_check": (lambda: criteria.distribute_check(3, 1, 2.5, 0),
+                             "trials must be an integer, got 2.5"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_non_integer_rejected(self, case):
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        assert optimize.max_eigen_settings(i(2), restarts=1).best_value == pytest.approx(2 ** 1.5)
+        assert optimize.search_mm_partial(i(3), restarts=1).best_value < 1e-12
+        assert optimize.product_bound_max(i(3), i(1), restarts=1).best_value <= 2 ** 1.5 + 1e-8
+        assert bellop.ghz_optimal_settings(i(3)).n == 3
+        assert bellop.lhv_max(i(3)) == 2
+        assert bellop.expand_correlators(i(3)).n == 3
+        assert symstate.ghz(i(3)) == symstate.ghz(3)
+        assert symstate.ghz_y_form(i(3), -1) == symstate.ghz_y_form(3, -1)
+        assert symstate.split(i(2), i(3), i(1)) == symstate.split(2, 3, 1)
+        assert symstate.inner(i(1), i(1), i(3)) == 3
+        assert symstate.BellBasisState(2, (0, 1), i(-1)).sign == -1
+        assert criteria.distribute_check(i(3), i(1), i(2), 0).passed
+
+    def test_numpy_sign_keeps_states_exact(self):
+        assert symstate.ghz(3, np.int64(-1)) == symstate.ghz(3, -1)
+        assert symstate.ghz_y_form(3, np.int64(-1)) == symstate.ghz_y_form(3, -1)
 
 
 class TestSpectrum:

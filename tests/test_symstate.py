@@ -110,6 +110,11 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed(SymState(2, [0, 0, 0]))
 
+    def test_tiny_state_embeds(self):
+        # the zero-state rule is PureState's, which rescales a tiny vector
+        psi = embed(SymState(2, [1e-200, 0, 0]))
+        assert np.array_equal(psi.amp, [1, 0, 0, 0])
+
     @given(st.integers(1, 8), st.integers(0, 2**16),
            st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)]),
            st.sampled_from([0.5, 1, "1/2"]))
