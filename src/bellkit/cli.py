@@ -9,13 +9,16 @@ Commands:
     bellbasis  the 2^n-state orthonormal GHZ-type basis with its Gram check
     verify     run the whole verification battery and print a pass/fail table
 
-Every command echoes the configuration it resolved, and only the keys it
-reads in its mode (certify with or without --estimate, criteria per
---which), inside the JSON output; re-running that configuration reproduces
-the output byte for byte.  A key the command does not read in its mode, on
-a config-file line or a flag, is a usage error.
-Exit codes: 0 success, 1 a property check failed, 2 usage error (a missing
-or malformed input file included).
+Every command echoes the configuration it resolved inside the JSON output:
+only the keys it reads in its mode (certify with or without --estimate,
+criteria per --which, basis from a --state file or for --n), as MODES lists
+them; re-running that configuration reproduces the output byte for byte.
+Exit codes: 0 success, 1 a property check failed, 2 usage error:
+  - a key the mode needs left unset (`criteria needs --state`);
+  - a key the mode does not read, on a config-file line or a flag;
+  - a missing or malformed input or config file, or a config value that is
+    not of its key's type;
+  - a value out of range, with the library's message.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -51,43 +53,89 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_TYPES = {"n": int, "seed": int, "restarts": int, "shots": int,
-                 "tol": float, "state": str, "settings": str, "out": str,
-                 "format": str, "E": float, "epsilon": float, "k": int,
-                 "trials": int, "which": str, "to": str}
+REQUIRED = object()   # the default of a key that no mode reading it can run without
+
+# The keys each command reads in each of its modes, besides out and format:
+# certify's mode follows --estimate, criteria's --which, and basis's whether
+# a --state file is given.
+MODES = {
+    "bellmax": {None: ("n", "seed", "restarts", "tol")},
+    "certify": {"exact": ("n", "E", "epsilon"),
+                "estimate": ("state", "settings", "shots", "seed", "epsilon")},
+    "criteria": {"fragility": ("which", "state"), "mutinfo": ("which", "state"),
+                 "mm": ("which", "state"), "distribute": ("which", "n", "k", "trials", "seed")},
+    "basis": {"n": ("n", "to"), "state": ("state", "to")},
+    "bellbasis": {None: ("n",)},
+    "verify": {None: ()},
+}
+
+# Each key's type (a tuple lists its choices) and default, for every mode that
+# reads it.  An epsilon left unset is the certificate's own margin.
+KEYS = {
+    "n": (int, REQUIRED), "k": (int, REQUIRED), "E": (float, REQUIRED),
+    "state": (str, REQUIRED), "settings": (str, REQUIRED),
+    "which": (tuple(MODES["criteria"]), REQUIRED), "to": (("x", "y"), "x"),
+    "seed": (int, DEFAULT_SEED), "restarts": (int, DEFAULT_RESTARTS),
+    "tol": (float, DEFAULT_TOL), "shots": (int, DEFAULT_SHOTS), "trials": (int, 200),
+    "epsilon": (float, None), "out": (str, None), "format": (str, "json"),
+}
+
+# Flags without a value, echoed as true when given and read from no config line.
+SWITCHES = {"certify": "estimate", "verify": "fast"}
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, mode=None) -> dict:
-    """defaults < config file < explicit flags, over the keys the command
-    reads: those of ``defaults`` (None where there is no default), out and
-    format, and, when they depend on a resolved option, those of
-    ``mode(opts)``.  A config-file key or flag outside them is a usage
-    error."""
-    config = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    merged: dict = {}
+def _typed(key: str, text: str):
+    """A config line's value as the type KEYS gives its key."""
+    kind = KEYS[key][0]
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"--{key} must be {'|'.join(kind)}")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {text!r}") from None
 
-    def merge(keys: dict) -> None:
-        for key, default in keys.items():
-            if getattr(args, key, None) is not None:
-                merged[key] = getattr(args, key)
-            elif key in config:
-                merged[key] = _CONFIG_TYPES[key](config[key])
-            else:
-                merged[key] = default
 
-    merge({"out": None, "format": "json", **defaults})
-    if mode is not None:
-        merge(mode(merged))
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command and the keys of the mode it runs in, each from its flag,
+    else its config-file line, else its KEYS default.  A REQUIRED key left
+    unset, or a config line or flag outside the mode, is a usage error."""
+    config = _load_config_file(args.config) if args.config else {}
+
+    def given(key):
+        if getattr(args, key, None) is not None:
+            return getattr(args, key)
+        return _typed(key, config[key]) if key in config else None
+
+    def value(key):
+        found = given(key)
+        if found is None and KEYS[key][1] is REQUIRED:
+            raise ValueError(f"{args.command} needs --{key}")
+        return KEYS[key][1] if found is None else found
+
+    if args.command == "certify":
+        mode = "estimate" if args.estimate else "exact"
+    elif args.command == "criteria":
+        mode = value("which")
+    elif args.command == "basis":
+        mode = "n" if given("state") is None else "state"
+    else:
+        mode = None
+    keys = ("out", "format", *MODES[args.command][mode])
     for key in config:
-        if key not in merged:
+        if key not in keys:
             raise ValueError(f"{args.command} does not read config key {key!r}")
-    for key in _CONFIG_TYPES:
-        if key not in merged and getattr(args, key, None) is not None:
+    for key in KEYS:
+        if key not in keys and getattr(args, key, None) is not None:
             raise ValueError(f"{args.command} does not read --{key} in this mode")
-    if merged["format"] not in args.formats:
+    opts = {"command": args.command, **{key: value(key) for key in keys}}
+    if opts["format"] not in args.formats:
         raise ValueError(f"{args.command} writes --format {' or '.join(args.formats)}, "
-                         f"not {merged['format']!r}")
-    return merged
+                         f"not {opts['format']!r}")
+    if args.command in SWITCHES:
+        opts[SWITCHES[args.command]] = getattr(args, SWITCHES[args.command])
+    return opts
 
 
 def _json_scalar(obj):
@@ -95,35 +143,30 @@ def _json_scalar(obj):
     return bool(obj) if isinstance(obj, np.bool_) else float(obj)
 
 
-def _emit(payload: dict, out: Optional[str], fmt: str, csv_rows=None) -> None:
+def _emit(payload: dict, opts: dict, csv_rows=None) -> None:
     """Print (and optionally save) the payload as JSON, or csv_rows as CSV."""
-    if fmt == "json":
+    if opts["format"] == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar) + "\n"
     else:
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     sys.stdout.write(text)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if opts["out"]:
+        with open(opts["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _config_echo(args: argparse.Namespace, opts: dict, extras: dict | None = None) -> dict:
-    """The command, its resolved keys and any flags, all that are not None."""
-    echo = {"command": args.command, **opts, **(extras or {})}
-    return {k: v for k, v in echo.items() if v is not None}
+def _config_echo(opts: dict) -> dict:
+    """The command and its resolved keys, all that are not None."""
+    return {k: v for k, v in opts.items() if v is not None}
 
 
-def _cmd_bellmax(args) -> int:
-    opts = _resolve(args, {"n": None, "seed": DEFAULT_SEED, "restarts": DEFAULT_RESTARTS,
-                           "tol": DEFAULT_TOL})
+def _cmd_bellmax(opts: dict) -> int:
     n = opts["n"]
-    if n is None or n < 2:
-        raise ValueError("bellmax requires --n >= 2")
     res = optimize.max_eigen_settings(n, restarts=opts["restarts"], tol=opts["tol"],
                                       seed=opts["seed"])
     target = 2.0 ** ((n + 1) / 2)
     payload = {
-        "config": _config_echo(args, opts),
+        "config": _config_echo(opts),
         "best_value": res.best_value,
         "target": target,
         "deviation": abs(res.best_value - target),
@@ -131,57 +174,31 @@ def _cmd_bellmax(args) -> int:
         "converged": res.converged,
         "restart_status": {s: res.statuses.count(s) for s in optimize.RESTART_STATUSES},
     }
-    _emit(payload, opts["out"], opts["format"])
+    _emit(payload, opts)
     return EXIT_OK
 
 
-def _cmd_certify(args) -> int:
-    estimate_mode = bool(getattr(args, "estimate", False))
-    if estimate_mode:
-        keys = {"seed": DEFAULT_SEED, "shots": DEFAULT_SHOTS, "state": None, "settings": None}
-    else:
-        keys = {"n": None, "E": None}
-    opts = _resolve(args, {**keys, "epsilon": None})
-    echo = _config_echo(args, opts, {"estimate": estimate_mode or None})
-    if estimate_mode:
-        if not opts["state"] or not opts["settings"]:
-            raise ValueError("--estimate needs --state and --settings files")
+def _cmd_certify(opts: dict) -> int:
+    payload = {"config": _config_echo(opts)}
+    if opts["estimate"]:
         state = qstate.load_state(opts["state"])
         st = bellop.Settings.load(opts["settings"])
         est = certify.estimate_E(state, st, opts["shots"], opts["seed"])
-        epsilon = (certify.ESTIMATE_SIGMA * est.stderr if opts["epsilon"] is None
-                   else opts["epsilon"])
-        result = certify.certify_depth(est.value, state.n, epsilon)
-        payload = {"config": echo,
-                   "estimate": {"E": est.value, "stderr": est.stderr},
-                   "certificate": result.to_json()}
+        payload["estimate"] = {"E": est.value, "stderr": est.stderr}
+        value, n, epsilon = est.value, state.n, certify.ESTIMATE_SIGMA * est.stderr
     else:
-        n, value = opts["n"], opts["E"]
-        if n is None or value is None:
-            raise ValueError("exact mode needs --n and --E")
-        epsilon = certify.EXACT_EPSILON if opts["epsilon"] is None else opts["epsilon"]
-        result = certify.certify_depth(value, n, epsilon)
-        payload = {"config": echo, "certificate": result.to_json()}
+        value, n, epsilon = opts["E"], opts["n"], certify.EXACT_EPSILON
+    if opts["epsilon"] is not None:
+        epsilon = opts["epsilon"]
+    result = certify.certify_depth(value, n, epsilon)
+    payload["certificate"] = result.to_json()
     rows = [["k", "bound"]] + [[k, b] for k, b in enumerate(result.thresholds)]
-    _emit(payload, opts["out"], opts["format"], csv_rows=rows)
+    _emit(payload, opts, csv_rows=rows)
     return EXIT_OK
 
 
-_CRITERIA_KEYS = {"fragility": {"state": None}, "mutinfo": {"state": None},
-                  "mm": {"state": None},
-                  "distribute": {"n": None, "k": None, "trials": None, "seed": DEFAULT_SEED}}
-
-
-def _criteria_keys(opts: dict) -> dict:
-    if opts["which"] not in _CRITERIA_KEYS:
-        raise ValueError(f"--which must be {'|'.join(_CRITERIA_KEYS)}")
-    return _CRITERIA_KEYS[opts["which"]]
-
-
-def _cmd_criteria(args) -> int:
-    opts = _resolve(args, {"which": None}, mode=_criteria_keys)
+def _cmd_criteria(opts: dict) -> int:
     which = opts["which"]
-    echo = _config_echo(args, opts)
     if which == "fragility":
         state = qstate.load_state(opts["state"])
         if not isinstance(state, qstate.PureState):
@@ -200,25 +217,18 @@ def _cmd_criteria(args) -> int:
                 "observed": list(map(float, rep.observed)),
                 "target": list(map(float, rep.target))}
     else:
-        n, k = opts["n"], opts["k"]
-        if n is None or k is None:
-            raise ValueError("distribute needs --n and --k")
-        trials = 200 if opts["trials"] is None else opts["trials"]
-        rep = criteria.distribute_check(n, k, trials, opts["seed"])
+        rep = criteria.distribute_check(opts["n"], opts["k"], opts["trials"], opts["seed"])
         body = {"n": rep.n, "k": rep.k, "trials": rep.trials,
                 "x_passes": rep.x_passes, "z_passes": rep.z_passes,
                 "worst_fidelity_error": rep.worst_fidelity_error,
                 "passed": rep.passed}
-    _emit({"config": echo, "report": body}, opts["out"], opts["format"])
+    _emit({"config": _config_echo(opts), "report": body}, opts)
     return EXIT_OK if body.get("passed", True) else EXIT_CHECK_FAILED
 
 
-def _cmd_basis(args) -> int:
-    opts = _resolve(args, {"n": None, "state": None, "to": "x"})
-    n, to = opts["n"], opts["to"]
-    if to not in ("x", "y"):
-        raise ValueError("--to must be x or y")
-    if opts["state"]:
+def _cmd_basis(opts: dict) -> int:
+    to = opts["to"]
+    if "state" in opts:
         sym = symstate.load_sym(opts["state"])
         if to == "y":
             raise ValueError("general z -> y conversion is unsupported (GHZ only)")
@@ -227,8 +237,7 @@ def _cmd_basis(args) -> int:
                    "output": symstate.sym_to_json(converted),
                    "scale": str(scale)}]
     else:
-        if n is None or n < 1:
-            raise ValueError("basis requires --n >= 1 (or --state FILE)")
+        n = opts["n"]
         tables = []
         for sign in (1, -1):
             g = symstate.ghz(n, sign)
@@ -249,21 +258,17 @@ def _cmd_basis(args) -> int:
     for table in tables:
         for ell, coeff in enumerate(table["output"]["coeff"]):
             rows.append([table["input"]["coeff"][-1], ell, coeff])
-    _emit({"config": _config_echo(args, opts), "tables": tables},
-          opts["out"], opts["format"], csv_rows=rows)
+    _emit({"config": _config_echo(opts), "tables": tables}, opts, csv_rows=rows)
     return EXIT_OK
 
 
-def _cmd_bellbasis(args) -> int:
-    opts = _resolve(args, {"n": None})
+def _cmd_bellbasis(opts: dict) -> int:
     n = opts["n"]
-    if n is None or n < 2:
-        raise ValueError("bellbasis requires --n >= 2")
     states = symstate.bell_basis(n)
     vecs = np.array([s.to_pure().amp for s in states])
     gram_err = float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(2**n))))
     payload = {
-        "config": _config_echo(args, opts),
+        "config": _config_echo(opts),
         "count": len(states),
         "gram_error": gram_err,
         "gram_is_identity": gram_err <= 1e-12,
@@ -271,19 +276,17 @@ def _cmd_bellbasis(args) -> int:
                    for s in states],
     }
     rows = [["bits", "sign"]] + [["".join(map(str, s.bits)), s.sign] for s in states]
-    _emit(payload, opts["out"], opts["format"], csv_rows=rows)
+    _emit(payload, opts, csv_rows=rows)
     return EXIT_OK if payload["gram_is_identity"] else EXIT_CHECK_FAILED
 
 
-def _cmd_verify(args) -> int:
-    opts = _resolve(args, {})
-    fast = bool(getattr(args, "fast", False))
-    results = verification.run_all(fast=fast)
+def _cmd_verify(opts: dict) -> int:
+    results = verification.run_all(fast=bool(opts["fast"]))
     for res in results:   # wall times go to stderr only, so stdout and --out replay
         print(res.line())
         print(f"{res.check_id}  [{res.seconds:.3f}s]", file=sys.stderr)
     payload = {
-        "config": _config_echo(args, opts, {"fast": fast or None}),
+        "config": _config_echo(opts),
         "results": [{"id": r.check_id, "description": r.description, "passed": r.passed}
                     for r in results],
         "all_passed": all(r.passed for r in results),
@@ -296,69 +299,38 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per MODES entry, with a flag for each key its modes
+    read, --config, and its switch; csv only where _emit gets rows."""
     parser = argparse.ArgumentParser(prog="bellkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, n=False, seed=False, csv=False):
-        """--seed only where a seed is drawn, csv only where _emit gets rows."""
-        if n:
-            p.add_argument("--n", type=int)
-        if seed:
-            p.add_argument("--seed", type=int)
-        p.add_argument("--config", type=str, help="key = value config file")
-        p.add_argument("--out", type=str)
-        formats = ("json", "csv") if csv else ("json",)
+    for command, func, text in (
+            ("bellmax", _cmd_bellmax, "optimize the largest B_n eigenvalue"),
+            ("certify", _cmd_certify, "entanglement-depth certificate"),
+            ("criteria", _cmd_criteria, "entanglement criteria reports"),
+            ("basis", _cmd_basis, "symmetric basis-change tables"),
+            ("bellbasis", _cmd_bellbasis, "orthonormal GHZ-type basis"),
+            ("verify", _cmd_verify, "run the full verification battery")):
+        p = sub.add_parser(command, help=text)
+        formats = ("json", "csv") if command in ("certify", "basis", "bellbasis") else ("json",)
+        p.set_defaults(func=func, formats=formats)
+        p.add_argument("--config", help="key = value config file")
         p.add_argument("--format", choices=formats)
-        p.set_defaults(formats=formats)
-
-    p = sub.add_parser("bellmax", help="optimize the largest B_n eigenvalue")
-    common(p, n=True, seed=True)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_bellmax)
-
-    p = sub.add_parser("certify", help="entanglement-depth certificate")
-    common(p, n=True, seed=True, csv=True)
-    p.add_argument("--E", type=float, dest="E")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--estimate", action="store_true")
-    p.add_argument("--state", type=str)
-    p.add_argument("--settings", type=str)
-    p.add_argument("--shots", type=int)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("criteria", help="entanglement criteria reports")
-    common(p, n=True, seed=True)
-    p.add_argument("--which", choices=["fragility", "mutinfo", "mm", "distribute"])
-    p.add_argument("--state", type=str)
-    p.add_argument("--k", type=int)
-    p.add_argument("--trials", type=int)
-    p.set_defaults(func=_cmd_criteria)
-
-    p = sub.add_parser("basis", help="symmetric basis-change tables")
-    common(p, n=True, csv=True)
-    p.add_argument("--to", choices=["x", "y"])
-    p.add_argument("--state", type=str, help="symmetric-state JSON file (z basis)")
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("bellbasis", help="orthonormal GHZ-type basis")
-    common(p, n=True, csv=True)
-    p.set_defaults(func=_cmd_bellbasis)
-
-    p = sub.add_parser("verify", help="run the full verification battery")
-    common(p)
-    p.add_argument("--fast", action="store_true", help="reduced smoke run")
-    p.set_defaults(func=_cmd_verify)
-
+        for key in dict.fromkeys(["out", *(k for keys in MODES[command].values() for k in keys)]):
+            kind = KEYS[key][0]
+            if isinstance(kind, tuple):
+                p.add_argument(f"--{key}", choices=kind)
+            else:
+                p.add_argument(f"--{key}", type=kind)
+        if command in SWITCHES:
+            p.add_argument(f"--{SWITCHES[command]}", action="store_true", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except FileNotFoundError as exc:
         print(f"missing file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE

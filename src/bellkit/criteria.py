@@ -178,7 +178,7 @@ def mm_partial_residual(state: symstate.SymState) -> MMResidual:
     return MMResidual(m, observed, target, residual)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # so True or 2.0 never hits the entry of 1 or 2
 def schmidt_map(n: int, m: int) -> np.ndarray:
     """Read-only linear map J from z-basis coefficients c to the symmetric
     Schmidt matrix M = J @ c over the first m and remaining n-m qubits:
@@ -189,6 +189,8 @@ def schmidt_map(n: int, m: int) -> np.ndarray:
     so |M|_F^2 = sum_j |c_j|^2 C(n,j) (Vandermonde) and M M^H / |M|_F^2 is
     the m-qubit partial state.
     """
+    n = require_int(n, "n", 1)
+    m = require_int(m, "m", 0, n)
     jac = np.zeros((m + 1, n - m + 1, n + 1))
     for k in range(m + 1):
         for l in range(n - m + 1):

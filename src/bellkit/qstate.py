@@ -148,6 +148,8 @@ class PureState:
     @classmethod
     def basis(cls, n: int, index: int) -> "PureState":
         """Computational basis state |index> (qubit 1 = most significant bit)."""
+        n = _check_n(n)
+        index = require_int(index, "index", 0, 2**n - 1)
         amp = np.zeros(2**n, dtype=complex)
         amp[index] = 1.0
         return cls(n, amp)

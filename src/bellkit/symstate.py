@@ -263,10 +263,11 @@ def split(j: int, n: int, m: int) -> list[tuple[int, int]]:
     return [(k, 1) for k in range(lo, hi + 1)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # so True never hits the entry of 1
 def z_to_x_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Integer coefficients beta[j][l] with
     |j,n>_z = 2^-n * sum_l beta[j][l] |l,n>_x."""
+    n = require_int(n, "n", 1, MAX_QUBITS)
     rows = []
     for j in range(n + 1):
         row = []
@@ -316,10 +317,11 @@ class BellBasisState:
     sign: int
 
     def __post_init__(self):
-        sign = _check_sign(self.sign)
+        n, sign = _check_n(self.n), _check_sign(self.sign)
         bits = tuple(int(b) for b in self.bits)
-        if len(bits) != self.n or any(b not in (0, 1) for b in bits):
+        if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be a 0/1 tuple of length n")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "sign", sign)
 

@@ -44,10 +44,10 @@ def check_lhv_bound(fast: bool = False) -> CheckResult:
         all(v == 2 for v in values.values()), {"values": values})
 
 
-def check_operator_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_operator_bound(fast: bool = False) -> CheckResult:
     """B_n^2 <= 2^(n+1) on random settings by bellop.bound_check's closed form,
     itself matched to dense eigvalsh(B_n) at n <= 6; GHZ settings reach 2^((n+1)/2)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     trials = 20 if fast else 100
     rand_top = 6 if fast else 8
     ok = True
@@ -93,13 +93,13 @@ def check_ghz_angles(fast: bool = False) -> CheckResult:
         worst <= 1e-9, {"worst_error": worst})
 
 
-def check_optimizer_recovery(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_optimizer_recovery(fast: bool = False) -> CheckResult:
     """max_eigen_settings recovers 2^((n+1)/2) within 1e-6."""
     top = 4 if fast else 6
     restarts = 10 if fast else 50
     worst = 0.0
     for n in range(2, top + 1):
-        res = optimize.max_eigen_settings(n, restarts=restarts, tol=1e-9, seed=seed)
+        res = optimize.max_eigen_settings(n, restarts=restarts, tol=1e-9, seed=DEFAULT_SEED)
         worst = max(worst, abs(res.best_value - 2.0 ** ((n + 1) / 2)))
     return CheckResult(
         "optimizer-recovery",
@@ -107,7 +107,7 @@ def check_optimizer_recovery(fast: bool = False, seed: int = DEFAULT_SEED) -> Ch
         f"{restarts} restarts", worst <= 1e-6, {"worst_error": worst})
 
 
-def check_independent_subset_bound(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_independent_subset_bound(fast: bool = False) -> CheckResult:
     """Joint state/settings optimization over (block) x (m product qubits)
     reaches exactly 2^((n-m+1)/2)."""
     cases = [(3, 1), (4, 2)] if fast else [(3, 1), (4, 1), (4, 2), (5, 2)]
@@ -115,7 +115,7 @@ def check_independent_subset_bound(fast: bool = False, seed: int = DEFAULT_SEED)
     worst = 0.0
     values = {}
     for n, m in cases:
-        res = optimize.product_bound_max(n, m, restarts=restarts, tol=1e-10, seed=seed)
+        res = optimize.product_bound_max(n, m, restarts=restarts, tol=1e-10, seed=DEFAULT_SEED)
         target = 2.0 ** ((n - m + 1) / 2)
         values[f"{n},{m}"] = res.best_value
         worst = max(worst, abs(res.best_value - target))
@@ -186,7 +186,7 @@ def check_fragility(fast: bool = False) -> CheckResult:
              "slope_error": slope_err})
 
 
-def check_distribution(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_distribution(fast: bool = False) -> CheckResult:
     """x-basis measurements on GHZ leave the remaining qubits on the
     parity-matched GHZ state, every trial."""
     top = 5 if fast else 8
@@ -195,7 +195,7 @@ def check_distribution(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckRes
     worst = 0.0
     for n in range(2, top + 1):
         for k in range(1, n):
-            rep = criteria.distribute_check(n, k, trials, seed + 7919 * n + k)
+            rep = criteria.distribute_check(n, k, trials, DEFAULT_SEED + 7919 * n + k)
             ok = ok and rep.passed
             worst = max(worst, rep.worst_fidelity_error)
     return CheckResult(
@@ -224,7 +224,7 @@ def check_mutual_information(fast: bool = False) -> CheckResult:
         "triplet = 1 bit", ok, {"worst_error": worst, "triplet_error": worst_tri})
 
 
-def check_mm_partial_states(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_mm_partial_states(fast: bool = False) -> CheckResult:
     """Every cataloged state passes the maximally-mixed partial-state test;
     the n=5 search bottoms out well above zero (empirical floor, recorded,
     not a nonexistence proof).  The witness |D1> + |D4> has the partial
@@ -234,7 +234,7 @@ def check_mm_partial_states(fast: bool = False, seed: int = DEFAULT_SEED) -> Che
                  for label, state in criteria.mm_example_states().items()}
     states_ok = all(r < 1e-9 for r in residuals.values())
     restarts = 40 if fast else 200
-    search = optimize.search_mm_partial(5, restarts=restarts, seed=seed)
+    search = optimize.search_mm_partial(5, restarts=restarts, seed=DEFAULT_SEED)
     floor_ok = search.best_value > 1e-3
     witness = criteria.mm_partial_residual(symstate.SymState(5, [0, 1, 0, 0, 1, 0]))
     return CheckResult(
@@ -315,11 +315,11 @@ def check_entangled_basis(fast: bool = False) -> CheckResult:
         worst <= 1e-12, {"worst_gram_error": worst})
 
 
-def check_worked_example(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_worked_example(fast: bool = False) -> CheckResult:
     """The singlet/up mixture certifies exactly 2 entangled qubits; the
     quoted maximum 2(1+sqrt(2)) exceeds the quantum cap and is flagged."""
     restarts = 15 if fast else 40
-    _, rep = certify.example_rho3(restarts=restarts, seed=seed)
+    _, rep = certify.example_rho3(restarts=restarts, seed=DEFAULT_SEED)
     ok = rep.optimized.best_value <= 4.0 + 1e-8
     ok = ok and rep.certificate.certified_entangled == 2
     ok = ok and rep.quoted_exceeds_cap
@@ -330,7 +330,7 @@ def check_worked_example(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckR
         ok, rep.to_json())
 
 
-def check_shot_noise(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_shot_noise(fast: bool = False) -> CheckResult:
     """Finite-shot estimates of E(F_3) on GHZ land within 4 standard errors
     of the exact value in at least 95% of seeded repetitions."""
     reps = 20 if fast else 100
@@ -340,7 +340,7 @@ def check_shot_noise(fast: bool = False, seed: int = DEFAULT_SEED) -> CheckResul
     exact = bellop.bell_expectation(psi, st)
     hits = 0
     for i in range(reps):
-        est = certify.estimate_E(psi, st, shots, seed + i)
+        est = certify.estimate_E(psi, st, shots, DEFAULT_SEED + i)
         # deterministic terms at the optimal settings carry estimate_E's
         # finite-shot stderr floor, so est.stderr > 0; the 1e-12 is the
         # check's fixed slack for round-off in the summed estimate

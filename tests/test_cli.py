@@ -127,7 +127,7 @@ class TestBellmax:
     def test_n1_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bellmax", "--n", "1")
         assert code == 2
-        assert "n >= 2" in err
+        assert err == "error: n must be in [2, 10], got 1\n"
 
     def test_byte_identical_rerun(self, capsys):
         args = ("bellmax", "--n", "2", "--restarts", "4", "--seed", "9")
@@ -281,6 +281,18 @@ class TestCriteria:
         assert code == 0
         assert out == DISTRIBUTE_STDOUT[(n, k, trials, seed)]
 
+    def test_distribute_echoes_default_trials(self, capsys):
+        code, out, _ = run_cli(capsys, "criteria", "--which", "distribute", "--n", "3",
+                               "--k", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["config"]["trials"] == obj["report"]["trials"] == 200
+
+    @pytest.mark.parametrize("which", ["fragility", "mutinfo", "mm"])
+    def test_without_state_usage_error(self, capsys, which):
+        code, out, err = run_cli(capsys, "criteria", "--which", which)
+        assert (code, out, err) == (2, "", "error: criteria needs --state\n")
+
     def test_distribute_negative_trials_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "criteria", "--which", "distribute",
                              "--n", "3", "--k", "1", "--trials", "-5")
@@ -364,23 +376,22 @@ def _handler_usage_error(tmp_path, case):
     if case == "basis-config-to-z":
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 3\nto = z\n")
-        return ["basis", "--config", str(cfg)], "--to must be x or y"
+        return ["basis", "--config", str(cfg)], "--to must be x|y"
     if case == "basis-state-to-y":
         path = tmp_path / "w.json"
         symstate.save_sym(path, symstate.SymState(3, [0, 1, 0, 0]))
         return (["basis", "--state", str(path), "--to", "y"],
                 "general z -> y conversion is unsupported (GHZ only)")
     return {
-        "bellmax-n1": (["bellmax", "--n", "1"], "bellmax requires --n >= 2"),
-        "certify-exact-without-E": (["certify", "--n", "3"], "exact mode needs --n and --E"),
+        "bellmax-n1": (["bellmax", "--n", "1"], "n must be in [2, 10], got 1"),
+        "certify-exact-without-E": (["certify", "--n", "3"], "certify needs --E"),
         "certify-negative-E": (["certify", "--n", "3", "--E", "-1"],
                                "expectation value must be nonnegative"),
-        "certify-estimate-without-files": (["certify", "--estimate"],
-                                           "--estimate needs --state and --settings files"),
+        "certify-estimate-without-files": (["certify", "--estimate"], "certify needs --state"),
         "distribute-without-k": (["criteria", "--which", "distribute", "--n", "3"],
-                                 "distribute needs --n and --k"),
-        "basis-without-n": (["basis"], "basis requires --n >= 1 (or --state FILE)"),
-        "bellbasis-without-n": (["bellbasis"], "bellbasis requires --n >= 2"),
+                                 "criteria needs --k"),
+        "basis-without-n": (["basis"], "basis needs --n"),
+        "bellbasis-without-n": (["bellbasis"], "bellbasis needs --n"),
     }[case]
 
 
@@ -459,12 +470,24 @@ class TestConfigFile:
         (("certify", "--n", "3", "--E", "2.5"), ("--state", "s.json")),
         (("certify", "--estimate", "--state", "s.json", "--settings", "t.json"), ("--n", "3")),
         (("criteria", "--which", "mm", "--state", "s.json"), ("--trials", "2")),
+        (("basis", "--state", "w.json"), ("--n", "7")),
     ])
     def test_flag_the_mode_does_not_read_rejected(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv, *flag)
         assert code == 2
         assert out == ""
         assert f"{argv[0]} does not read {flag[0]} in this mode" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("seed = abc", "config key 'seed' must be int, got 'abc'"),
+        ("restarts = 2.0", "config key 'restarts' must be int, got '2.0'"),
+        ("tol = small", "config key 'tol' must be float, got 'small'"),
+    ])
+    def test_value_of_the_wrong_type_names_its_key(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "bellmax", "--n", "2", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_which_from_config_chooses_the_keys(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -481,6 +504,68 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "criteria", "--config", str(cfg))
         assert code == 2
         assert "--which must be fragility|mutinfo|mm|distribute" in err
+
+
+def _sample(key, mode) -> str:
+    """A value of the type cli.KEYS gives key; criteria's which names its mode."""
+    kind = cli.KEYS[key][0]
+    special = {"which": mode, "format": "json"}
+    if key in special:
+        return special[key]
+    return kind[-1] if isinstance(kind, tuple) else {int: "3", float: "0.5", str: "f.json"}[kind]
+
+
+def _typed(key, text):
+    kind = cli.KEYS[key][0]
+    return text if isinstance(kind, tuple) else kind(text)
+
+
+MODE_CASES = [(command, mode) for command, modes in cli.MODES.items() for mode in modes]
+# basis without --state runs in its --n mode, so leaving --state out reports --n
+REQUIRED_CASES = [(command, mode, key) for command, mode in MODE_CASES
+                  for key in cli.MODES[command][mode]
+                  if cli.KEYS[key][1] is cli.REQUIRED and (command, key) != ("basis", "state")]
+
+
+class TestKeyTable:
+    """Every key of every command and mode, straight from cli.MODES and
+    cli.KEYS, with the command's computation replaced by a recorder."""
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        seen = []
+        for command in cli.MODES:
+            monkeypatch.setattr(cli, f"_cmd_{command}", lambda opts: seen.append(opts) or 0)
+        return seen
+
+    @staticmethod
+    def argv(command, mode, without=None):
+        keys = ("out", "format", *cli.MODES[command][mode])
+        switch = [f"--{cli.SWITCHES[command]}"] if mode == "estimate" else []
+        return [command, *switch, *(arg for key in keys if key != without
+                                    for arg in (f"--{key}", _sample(key, mode)))]
+
+    @pytest.mark.parametrize("command,mode", MODE_CASES)
+    def test_each_key_as_flag_and_as_config_line(self, capsys, tmp_path, resolved,
+                                                 command, mode):
+        keys = ("out", "format", *cli.MODES[command][mode])
+        code, _, err = run_cli(capsys, *self.argv(command, mode))
+        assert code == 0, err
+        assert {key: resolved[-1][key] for key in keys} == \
+            {key: _typed(key, _sample(key, mode)) for key in keys}
+        cfg = tmp_path / "run.cfg"
+        for key in keys:
+            cfg.write_text(f"{key} = {_sample(key, mode)}\n")
+            code, _, err = run_cli(capsys, *self.argv(command, mode, without=key),
+                                   "--config", str(cfg))
+            assert code == 0, err
+            assert resolved[-1] == resolved[0]
+
+    @pytest.mark.parametrize("command,mode,key", REQUIRED_CASES)
+    def test_required_key_left_unset(self, capsys, resolved, command, mode, key):
+        code, out, err = run_cli(capsys, *self.argv(command, mode, without=key))
+        assert (code, out, err) == (2, "", f"error: {command} needs --{key}\n")
+        assert resolved == []
 
 
 class TestVerifyCommand:

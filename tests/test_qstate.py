@@ -475,8 +475,10 @@ class TestQubitIndex:
 
 
 class TestIntegerArguments:
-    """Every public count, index and sign goes through one rule: a float or a
-    bool fails with a ValueError naming the argument, a numpy integer passes."""
+    """Every public count, index and sign goes through one rule: a float, a
+    bool or a value out of range fails with a ValueError naming the argument,
+    a numpy integer passes.  A cached table is checked past its cache: True
+    after 1 is not the cached entry of 1."""
 
     CASES = {
         "max_eigen_settings": (lambda: optimize.max_eigen_settings(2.5),
@@ -499,6 +501,24 @@ class TestIntegerArguments:
                            r"sign must be \+1 or -1, got 1.0"),
         "distribute_check": (lambda: criteria.distribute_check(3, 1, 2.5, 0),
                              "trials must be an integer, got 2.5"),
+        "basis-negative-index": (lambda: PureState.basis(2, -1),
+                                 r"index must be in \[0, 3\], got -1"),
+        "basis-float-index": (lambda: PureState.basis(2, 1.0),
+                              "index must be an integer, got 1.0"),
+        "BellBasisState-float-n": (lambda: symstate.BellBasisState(2.0, (0, 1), 1),
+                                   "qubit count must be an integer, got 2.0"),
+        "BellBasisState-n0": (lambda: symstate.BellBasisState(0, (), 1),
+                              r"qubit count must be in \[1, 14\], got 0"),
+        "z_to_x_matrix-bool": (lambda: [symstate.z_to_x_matrix(1), symstate.z_to_x_matrix(True)],
+                               "n must be an integer, got True"),
+        "z_to_x_matrix-float": (lambda: symstate.z_to_x_matrix(2.5),
+                                "n must be an integer, got 2.5"),
+        "schmidt_map-m-above-n": (lambda: criteria.schmidt_map(4, 5),
+                                  r"m must be in \[0, 4\], got 5"),
+        "schmidt_map-float-m": (lambda: criteria.schmidt_map(4, 2.5),
+                                "m must be an integer, got 2.5"),
+        "schmidt_map-bool-n": (lambda: [criteria.schmidt_map(1, 0), criteria.schmidt_map(True, 0)],
+                               "n must be an integer, got True"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -521,6 +541,10 @@ class TestIntegerArguments:
         assert symstate.inner(i(1), i(1), i(3)) == 3
         assert symstate.BellBasisState(2, (0, 1), i(-1)).sign == -1
         assert criteria.distribute_check(i(3), i(1), i(2), 0).passed
+        assert np.array_equal(PureState.basis(i(2), i(3)).amp, [0, 0, 0, 1])
+        assert symstate.BellBasisState(i(2), (0, 1), 1) == symstate.BellBasisState(2, (0, 1), 1)
+        assert symstate.z_to_x_matrix(i(3)) == symstate.z_to_x_matrix(3)
+        assert np.array_equal(criteria.schmidt_map(i(4), i(2)), criteria.schmidt_map(4, 2))
 
     def test_numpy_sign_keeps_states_exact(self):
         assert symstate.ghz(3, np.int64(-1)) == symstate.ghz(3, -1)
