@@ -72,12 +72,6 @@ class Settings:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    def swapped(self) -> "Settings":
-        return Settings(self.vectors[:, ::-1, :])
-
-    def direction(self, qubit: int, choice: int) -> np.ndarray:
-        return self.vectors[qubit - 1, choice]
-
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "Settings":
         return cls(np.array([[a, ap] for a, ap in pairs], dtype=float))
@@ -104,28 +98,6 @@ class Settings:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Deterministic outcomes: values[j] = (a_j, a_j'), each exactly +-1."""
-
-    values: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        vals = tuple((int(a), int(ap)) for a, ap in self.values)
-        if not vals:
-            raise ValueError("assignment must cover at least one qubit")
-        if any(v not in (1, -1) for pair in vals for v in pair):
-            raise ValueError("assignment values must be exactly +1 or -1")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def swapped(self) -> "Assignment":
-        return Assignment(tuple((ap, a) for a, ap in self.values))
 
 
 def _factors(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -167,21 +139,6 @@ def _assignment_table(n: int) -> np.ndarray:
     entry is a Gaussian integer, exact in float64."""
     n = require_int(n, "n", 1, MAX_ENUM_QUBITS)
     return _fold([(np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))] * n)
-
-
-def _g(asg: Assignment) -> complex:
-    """G = F_n + i F_n' at one assignment."""
-    return complex(_fold(np.array(asg.values)[..., None])[0])
-
-
-def f_classical(asg: Assignment) -> int:
-    """Exact F_n = Re G; |result| <= 2 for every deterministic assignment."""
-    return int(_g(asg).real)
-
-
-def f_prime(asg: Assignment) -> int:
-    """F_n with all primed and unprimed values exchanged, Im G; an involution."""
-    return int(_g(asg).imag)
 
 
 def lhv_max(n: int) -> int:

@@ -14,7 +14,8 @@ only the keys it reads in its mode (certify with or without --estimate,
 criteria per --which, basis from a --state file or for --n), as MODES lists
 them; re-running that configuration reproduces the output byte for byte.
 Exit codes: 0 success, 1 a property check failed, 2 usage error:
-  - a key the mode needs left unset (`criteria needs --state`);
+  - a key the mode needs left unset (`criteria needs --state`), or given
+    an empty value (`--state must not be empty`);
   - a key the mode does not read, on a config-file line or a flag;
   - a missing or malformed input or config file, or a config value that is
     not of its key's type;
@@ -100,13 +101,17 @@ def _typed(key: str, text: str):
 def _resolve(args: argparse.Namespace) -> dict:
     """The command and the keys of the mode it runs in, each from its flag,
     else its config-file line, else its KEYS default.  A REQUIRED key left
-    unset, or a config line or flag outside the mode, is a usage error."""
+    unset, an empty value, or a config line or flag outside the mode, is a
+    usage error."""
     config = _load_config_file(args.config) if args.config else {}
 
     def given(key):
-        if getattr(args, key, None) is not None:
-            return getattr(args, key)
-        return _typed(key, config[key]) if key in config else None
+        found = getattr(args, key, None)
+        if found is None and key in config:
+            found = config[key] and _typed(key, config[key])
+        if found == "":
+            raise ValueError(f"--{key} must not be empty")
+        return found
 
     def value(key):
         found = given(key)
@@ -246,11 +251,8 @@ def _cmd_basis(opts: dict) -> int:
                 scale_txt = str(scale)
             else:
                 converted = symstate.ghz_y_form(n, sign)
-                vy = symstate.embed_vector(converted)
-                vg = symstate.embed_vector(g)
-                idx = int(np.argmax(np.abs(vg)))
-                ratio = vy[idx] / vg[idx]
-                scale_txt = f"{ratio.real:+g}{ratio.imag:+g}i"
+                scale = symstate.i_power(n).scale(sign * 2**n)   # sign (2i)^n
+                scale_txt = f"{float(scale.re):+g}{float(scale.im):+g}i"
             tables.append({"input": symstate.sym_to_json(g),
                            "output": symstate.sym_to_json(converted),
                            "scale": scale_txt})
@@ -265,8 +267,7 @@ def _cmd_basis(opts: dict) -> int:
 def _cmd_bellbasis(opts: dict) -> int:
     n = opts["n"]
     states = symstate.bell_basis(n)
-    vecs = np.array([s.to_pure().amp for s in states])
-    gram_err = float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(2**n))))
+    gram_err = symstate.gram_error(states)
     payload = {
         "config": _config_echo(opts),
         "count": len(states),

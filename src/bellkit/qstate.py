@@ -1,5 +1,5 @@
-"""Dense n-qubit state engine: construction, tensor products, operator
-application, partial traces, expectations and seeded projective sampling.
+"""Dense n-qubit state engine: construction, operator application, partial
+traces, expectations and seeded projective sampling.
 
 Conventions used throughout the package:
 
@@ -211,13 +211,6 @@ class Spectrum:
         return len(self.values)
 
 
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker product a (x) b; a's qubits come first (most significant)."""
-    if a.n + b.n > MAX_QUBITS:
-        raise ValueError(f"tensor product would exceed {MAX_QUBITS} qubits")
-    return PureState(a.n + b.n, np.kron(a.amp, b.amp))
-
-
 def _check_qubit(qubit: int, n: int) -> int:
     return require_int(qubit, "qubit index", 1, n)
 
@@ -414,16 +407,11 @@ def outcome_distribution(state: State, bases) -> np.ndarray:
     return _born_distribution(table.reshape(-1))
 
 
-def overlap(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b>."""
-    if a.n != b.n:
-        raise ValueError("states act on different qubit counts")
-    return complex(np.vdot(a.amp, b.amp))
-
-
 def fidelity(a: PureState, b: PureState) -> float:
     """|<a|b>|^2."""
-    return abs(overlap(a, b)) ** 2
+    if a.n != b.n:
+        raise ValueError("states act on different qubit counts")
+    return abs(complex(np.vdot(a.amp, b.amp))) ** 2
 
 
 # --- JSON state files -------------------------------------------------------

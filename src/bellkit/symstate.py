@@ -179,20 +179,6 @@ class SymState:
     def as_complex(self) -> np.ndarray:
         return np.array([complex(c) for c in self.coeff])
 
-    def norm_sq_exact(self) -> Fraction:
-        """Squared norm sum_j |c_j|^2 <j,n|j,n> in exact arithmetic.
-
-        In the x and y labelings each single-qubit ket has squared norm 2,
-        so the symmetric kets pick up an extra factor 2^n.
-        """
-        if not self.exact:
-            raise TypeError("exact norm requires exact coefficients")
-        total = sum((c.abs2() * comb(self.n, j) for j, c in enumerate(self.coeff)),
-                    Fraction(0))
-        if self.basis_label in ("x", "y"):
-            total *= 2**self.n
-        return total
-
 
 def inner(j: int, k: int, n: int) -> int:
     """<j,n|k,n> = delta_jk * C(n,j), exactly."""
@@ -345,6 +331,12 @@ def bell_basis(n: int) -> list[BellBasisState]:
         for sign in (1, -1):
             states.append(BellBasisState(n, bits, sign))
     return states
+
+
+def gram_error(states: list[BellBasisState]) -> float:
+    """max |V V^H - I| over the embedded states V, zero for an orthonormal basis."""
+    vecs = np.array([s.to_pure().amp for s in states])
+    return float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs)))))
 
 
 # --- JSON files --------------------------------------------------------------

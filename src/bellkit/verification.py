@@ -1,9 +1,9 @@
 """End-to-end verification checks: every headline bound, identity, angle
 recipe and worked example in one reproducible battery.
 
-Each check returns a CheckResult; `run_all` executes the full battery (a few
-minutes) while ``fast=True`` shrinks trial counts and qubit ranges for a
-quick smoke run.  The same battery backs `bellkit verify` and the
+Each check returns a CheckResult; `run_all` executes the full battery (about
+2 s on two cores) while ``fast=True`` shrinks trial counts and qubit ranges
+for a quick smoke run.  The same battery backs `bellkit verify` and the
 acceptance test suite.
 """
 
@@ -306,9 +306,7 @@ def check_entangled_basis(fast: bool = False) -> CheckResult:
     top = 6 if fast else 8
     worst = 0.0
     for n in range(2, top + 1):
-        vecs = np.array([s.to_pure().amp for s in symstate.bell_basis(n)])
-        gram = vecs.conj() @ vecs.T
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(2**n)))))
+        worst = max(worst, symstate.gram_error(symstate.bell_basis(n)))
     return CheckResult(
         "entangled-basis",
         f"Gram matrix of the 2^n-state basis = identity within 1e-12, n=2..{top}",

@@ -16,6 +16,11 @@ def ghz_pure(n: int, sign: int = 1) -> PureState:
     return PureState(n, amp)
 
 
+def kron_state(a: PureState, b: PureState) -> PureState:
+    """a (x) b by np.kron; a's qubits come first (most significant)."""
+    return PureState(a.n + b.n, np.kron(a.amp, b.amp))
+
+
 def random_pure(n: int, rng: np.random.Generator) -> PureState:
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState(n, vec)

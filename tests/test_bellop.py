@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import bellop, optimize
-from bellkit.bellop import (Assignment, Settings, bell_expectation,
-                            bell_operator, bound_check, expand_correlators,
-                            f_classical, f_prime, ghz_optimal_settings, lhv_max)
+from bellkit.bellop import (Settings, bell_expectation, bell_operator, bound_check,
+                            expand_correlators, ghz_optimal_settings, lhv_max)
 from bellkit.qstate import MAX_QUBITS, PAULI_X, PAULI_Y, PAULI_Z, PureState, pauli_dot
 from bellkit.symstate import bell_basis
 
@@ -18,15 +17,29 @@ from conftest import (ghz_pure, kron_chain_operator, random_density, random_pure
                       random_unit_vectors)
 
 
-def evaluate_poly(poly, asg: Assignment) -> Fraction:
+def literal_f(values) -> tuple[Fraction, Fraction]:
+    """Reference (F_n, F_n') at one assignment, values[j] = (a_j, a_j'), by the
+    paper's recursion taken literally in Fraction arithmetic, from
+    (F_1, F_1') = (2 a_1, 2 a_1'):
+        F_n  = F_{n-1} (a_n + a_n')/2 + F_{n-1}' (a_n - a_n')/2
+        F_n' = F_{n-1}' (a_n + a_n')/2 - F_{n-1} (a_n - a_n')/2."""
+    (a, ap), *rest = values
+    f, fp = Fraction(2 * a), Fraction(2 * ap)
+    for a, ap in rest:
+        plus, minus = Fraction(a + ap, 2), Fraction(a - ap, 2)
+        f, fp = f * plus + fp * minus, fp * plus - f * minus
+    return f, fp
+
+
+def evaluate_poly(poly, values) -> Fraction:
     """Reference: the multilinear expansion summed term by term on one
-    assignment."""
-    assert asg.n == poly.n
+    assignment, values[j] = (a_j, a_j')."""
+    assert len(values) == poly.n
     total = Fraction(0)
     for choice, coeff in poly.items():
         prod = 1
         for j, c in enumerate(choice):
-            prod *= asg.values[j][c]
+            prod *= values[j][c]
         total += coeff * prod
     return total
 
@@ -47,24 +60,9 @@ def operator_from_correlators(st_: Settings) -> np.ndarray:
 
 
 def brute_force_lhv_max(n: int) -> Fraction:
-    """Independent oracle: recursive definition evaluated over every
-    assignment with Fraction arithmetic."""
-    def f(values, primed):
-        if len(values) == 1:
-            a, ap = values[0]
-            return Fraction(2 * (ap if primed else a))
-        a, ap = values[-1]
-        if primed:
-            a, ap = ap, a
-        head = values[:-1]
-        return (Fraction(a + ap, 2) * f(head, primed)
-                + Fraction(a - ap, 2) * f(head, not primed))
-
-    best = Fraction(-10)
-    for bits in itertools.product((1, -1), repeat=2 * n):
-        values = tuple((bits[2 * i], bits[2 * i + 1]) for i in range(n))
-        best = max(best, f(values, False))
-    return best
+    """Independent oracle: literal_f's F_n maximized over every assignment."""
+    return max(literal_f(values)[0]
+               for values in itertools.product(ONE_QUBIT_PAIRS, repeat=n))
 
 
 def fraction_expansion(n: int) -> dict:
@@ -105,17 +103,29 @@ def dp_lhv_table(n: int, swapped: bool = False) -> np.ndarray:
     return f
 
 
-ONE_QUBIT_ASSIGNMENTS = (np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1]))
+# each qubit's (a, a') in the order of _assignment_table's base-4 digits
+ONE_QUBIT_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+@lru_cache(maxsize=None)
 def assignment_table(n: int, primed: bool = False) -> np.ndarray:
-    """F_n = Re G (or F_n' = Im G) on all 4^n assignments, from the fold."""
-    g = bellop._fold([ONE_QUBIT_ASSIGNMENTS] * n)
+    """F_n = Re G (or F_n' = Im G) on all 4^n assignments, as the library
+    enumerates them."""
+    g = bellop._assignment_table(n)
     return g.imag if primed else g.real
 
 
-def random_assignment(n: int, rng: np.random.Generator) -> Assignment:
-    return Assignment(tuple(map(tuple, rng.integers(0, 2, size=(n, 2)) * 2 - 1)))
+def table_f(values) -> tuple[int, int]:
+    """(F_n, F_n') read from assignment_table at one assignment."""
+    idx = 0
+    for pair in values:
+        idx = 4 * idx + ONE_QUBIT_PAIRS.index(tuple(pair))
+    return (int(assignment_table(len(values))[idx]),
+            int(assignment_table(len(values), primed=True)[idx]))
+
+
+def random_assignment(n: int, rng: np.random.Generator) -> tuple:
+    return tuple(map(tuple, rng.integers(0, 2, size=(n, 2)) * 2 - 1))
 
 
 class TestFold:
@@ -157,55 +167,53 @@ class TestFold:
 
     def test_tables_match_exact_evaluator(self):
         # entry i of the table is the assignment whose base-4 digits index
-        # each qubit's (a, a') in ONE_QUBIT_ASSIGNMENTS order
-        table, table_p = assignment_table(3), assignment_table(3, primed=True)
-        pairs = list(zip(*ONE_QUBIT_ASSIGNMENTS))
-        for idx, values in enumerate(itertools.product(pairs, repeat=3)):
-            asg = Assignment(values)
-            assert (table[idx], table_p[idx]) == (f_classical(asg), f_prime(asg))
+        # each qubit's (a, a') in ONE_QUBIT_PAIRS order
+        for n in range(1, 7):
+            table, table_p = assignment_table(n), assignment_table(n, primed=True)
+            for idx, values in enumerate(itertools.product(ONE_QUBIT_PAIRS, repeat=n)):
+                assert (table[idx], table_p[idx]) == literal_f(values)
+
+    @given(st.integers(7, bellop.MAX_ENUM_QUBITS).flatmap(
+        lambda n: st.lists(st.sampled_from(ONE_QUBIT_PAIRS), min_size=n, max_size=n)))
+    @settings(max_examples=50, deadline=None)
+    def test_drawn_assignments_match_literal_recursion(self, values):
+        assert table_f(values) == literal_f(values)
 
 
 assignments = st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.tuples(*[st.tuples(st.sampled_from((1, -1)),
-                                    st.sampled_from((1, -1))) for _ in range(n)]))
+    lambda n: st.tuples(*[st.sampled_from(ONE_QUBIT_PAIRS) for _ in range(n)]))
 
 
 class TestClassicalPolynomial:
     def test_single_qubit(self):
-        assert f_classical(Assignment(((1, 1),))) == 2
-        assert f_classical(Assignment(((-1, 1),))) == -2
+        assert table_f(((1, 1),))[0] == 2
+        assert table_f(((-1, 1),))[0] == -2
 
     def test_chsh_combination(self):
         # (a + a') b + (a - a') b' at (1, 1, 1, -1)
-        assert f_classical(Assignment(((1, 1), (1, -1)))) == 2
+        assert table_f(((1, 1), (1, -1)))[0] == 2
 
     def test_three_qubit_symmetric_form(self):
         # E(a,b,c') + E(a,b',c) + E(a',b,c) - E(a',b',c') at all +1
-        asg = Assignment(((1, 1), (1, 1), (1, 1)))
-        assert f_classical(asg) == 1 + 1 + 1 - 1
+        assert table_f(((1, 1), (1, 1), (1, 1)))[0] == 1 + 1 + 1 - 1
 
     def test_prime_base_case(self):
-        assert f_prime(Assignment(((1, -1),))) == -2
+        assert table_f(((1, -1),))[1] == -2
 
     def test_prime_via_swap_example(self):
-        asg = Assignment(((1, 1), (1, -1)))
         # a'b' + a'b + ab' - ab with a=a'=b=1, b'=-1
-        assert f_prime(asg) == -2
+        assert table_f(((1, 1), (1, -1)))[1] == -2
 
     @given(assignments)
     def test_prime_is_swap_involution(self, values):
-        asg = Assignment(values)
-        assert f_prime(asg) == f_classical(asg.swapped())
-        assert f_prime(asg.swapped()) == f_classical(asg)
+        # trading every a_j with a_j' exchanges F_n and F_n'
+        swapped = tuple((ap, a) for a, ap in values)
+        assert table_f(swapped) == table_f(values)[::-1]
 
     @given(assignments)
     @settings(max_examples=200)
     def test_magnitude_bounded_by_two(self, values):
-        assert abs(f_classical(Assignment(values))) <= 2
-
-    def test_value_validation(self):
-        with pytest.raises(ValueError):
-            Assignment(((1, 0),))
+        assert abs(table_f(values)[0]) <= 2
 
 
 class TestLhvMax:
@@ -253,8 +261,8 @@ class TestExpandCorrelators:
         poly = expand_correlators(n)
         rng = np.random.default_rng(5 + n)
         for _ in range(100):
-            asg = random_assignment(n, rng)
-            assert evaluate_poly(poly, asg) == f_classical(asg)
+            values = random_assignment(n, rng)
+            assert evaluate_poly(poly, values) == literal_f(values)[0]
 
 
 class TestBellOperator:
@@ -559,20 +567,20 @@ class TestGhzOptimalSettings:
 
     def test_n2_angles(self):
         st_ = ghz_optimal_settings(2)
-        assert np.allclose(st_.direction(1, 0), [1, 0, 0], atol=1e-12)
-        assert np.allclose(st_.direction(2, 0),
+        assert np.allclose(st_.vectors[0, 0], [1, 0, 0], atol=1e-12)
+        assert np.allclose(st_.vectors[1, 0],
                            [np.cos(np.pi / 4), -np.sin(np.pi / 4), 0], atol=1e-12)
 
     def test_n3_angles(self):
         st_ = ghz_optimal_settings(3)
-        for j, angle in enumerate([0, np.pi / 6, np.pi / 3], start=1):
-            assert np.allclose(st_.direction(j, 0),
+        for j, angle in enumerate([0, np.pi / 6, np.pi / 3]):
+            assert np.allclose(st_.vectors[j, 0],
                                [np.cos(angle), np.sin(angle), 0], atol=1e-12)
 
     def test_perpendicular_pairs(self):
         st_ = ghz_optimal_settings(5)
-        for j in range(1, 6):
-            assert abs(np.dot(st_.direction(j, 0), st_.direction(j, 1))) <= 1e-12
+        for a, ap in st_.vectors:
+            assert abs(np.dot(a, ap)) <= 1e-12
 
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError):
@@ -586,7 +594,3 @@ class TestSettingsIO:
         st_.save(path)
         loaded = Settings.load(path)
         assert np.allclose(loaded.vectors, st_.vectors, atol=1e-15)
-
-    def test_swapped_involution(self, rng):
-        st_ = Settings(random_unit_vectors(3, rng))
-        assert np.array_equal(st_.swapped().swapped().vectors, st_.vectors)

@@ -11,9 +11,9 @@ from bellkit.bellop import Settings, bell_expectation, expand_correlators, ghz_o
 from bellkit.certify import (certify_depth, estimate_E,
                              example_rho3, rho3_listed_settings, rho3_state,
                              thresholds)
-from bellkit.qstate import DensityMatrix, PureState, child_rng, outcome_distribution, tensor
+from bellkit.qstate import DensityMatrix, PureState, child_rng, outcome_distribution
 
-from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
+from conftest import ghz_pure, kron_state, random_density, random_pure, random_unit_vectors
 
 
 def per_term_estimate(state, st_, shots, seed):
@@ -344,7 +344,7 @@ class TestWorkedExample:
         poly = expand_correlators(3)
         oracle = 0.0
         for choice, coeff in poly.items():
-            d = [st_.direction(j + 1, c) for j, c in enumerate(choice)]
+            d = [st_.vectors[j, c] for j, c in enumerate(choice)]
             term_a = -np.dot(d[0], d[1]) * d[2][2]   # singlet(1,2) x up(3)
             term_b = d[0][2] * -np.dot(d[1], d[2])   # up(1) x singlet(2,3)
             oracle += float(coeff) * 0.5 * (term_a + term_b)
@@ -367,7 +367,7 @@ class TestWorkedExample:
 class TestConsistencyAcrossModules:
     def test_ghz_block_times_product_hits_ladder_rung(self):
         # GHZ on 3 qubits (x) |0>: the maximum equals bound(1) for n=4
-        state = tensor(ghz_pure(3), PureState.basis(1, 0))
+        state = kron_state(ghz_pure(3), PureState.basis(1, 0))
         res = optimize.max_violation_settings(state, restarts=15, tol=1e-10, seed=9)
         bound_1 = float(thresholds(4)[1])
         assert res.best_value == pytest.approx(bound_1, abs=1e-6)
@@ -384,7 +384,7 @@ class TestConsistencyAcrossModules:
     def test_certificate_does_not_bound_the_largest_group(self):
         # GHZ_3 (x) GHZ_3 rules out 2 independent qubits, so 4 of its 6 qubits
         # are each entangled with another, yet its largest entangled block has 3
-        state = tensor(ghz_pure(3), ghz_pure(3))
+        state = kron_state(ghz_pure(3), ghz_pure(3))
         res = optimize.max_violation_settings(state, restarts=20, seed=1)
         assert res.best_value == pytest.approx(2 ** 2.5, abs=1e-6)
         assert certify_depth(res.best_value, 6).certified_entangled == 4

@@ -342,6 +342,19 @@ class TestBasis:
         rhs = float(Fraction(table["scale"])) * symstate.embed_vector(converted)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_y_scale_is_the_embedding_ratio(self, capsys, n):
+        # the closed form sign (2i)^n against the ratio of the embedded
+        # y-form to the embedded GHZ state at their largest entry
+        code, out, _ = run_cli(capsys, "basis", "--n", str(n), "--to", "y")
+        assert code == 0
+        for table, sign in zip(json.loads(out)["tables"], (1, -1)):
+            vy = symstate.embed_vector(symstate.ghz_y_form(n, sign))
+            vg = symstate.embed_vector(symstate.ghz(n, sign))
+            idx = int(np.argmax(np.abs(vg)))
+            ratio = vy[idx] / vg[idx]
+            assert table["scale"] == f"{ratio.real:+g}{ratio.imag:+g}i"
+
     def test_general_y_unsupported(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         symstate.save_sym(path, symstate.SymState(3, [0, 1, 0, 0]))
@@ -506,6 +519,40 @@ class TestConfigFile:
         assert "--which must be fragility|mutinfo|mm|distribute" in err
 
 
+class TestEmptyValue:
+    """A key given an empty value, on a config line or as a flag, is a usage
+    error that names the key, before any file is read or written."""
+
+    def test_empty_state_line_in_basis_n_mode(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state =\n")
+        code, out, err = run_cli(capsys, "basis", "--n", "2", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: --state must not be empty\n")
+
+    def test_empty_state_line_in_certify_estimate(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state =\n")
+        ghz_optimal_settings(3).save(tmp_path / "s.json")
+        code, out, err = run_cli(capsys, "certify", "--estimate", "--settings",
+                                 str(tmp_path / "s.json"), "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: --state must not be empty\n")
+
+    def test_empty_out_line_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n")
+        code, out, err = run_cli(capsys, "certify", "--n", "3", "--E", "3",
+                                 "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: --out must not be empty\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("key", ["state", "settings", "out"])
+    def test_empty_flag(self, capsys, tmp_path, key):
+        argv = ["certify", "--estimate", "--state", "x.json", "--settings", "s.json"]
+        code, out, err = run_cli(capsys, *argv, f"--{key}", "")
+        assert (code, out, err) == (2, "", f"error: --{key} must not be empty\n")
+
+
 def _sample(key, mode) -> str:
     """A value of the type cli.KEYS gives key; criteria's which names its mode."""
     kind = cli.KEYS[key][0]
@@ -560,6 +607,16 @@ class TestKeyTable:
                                    "--config", str(cfg))
             assert code == 0, err
             assert resolved[-1] == resolved[0]
+
+    @pytest.mark.parametrize("command,mode", MODE_CASES)
+    def test_empty_config_line(self, capsys, tmp_path, resolved, command, mode):
+        cfg = tmp_path / "run.cfg"
+        for key in ("out", "format", *cli.MODES[command][mode]):
+            cfg.write_text(f"{key} =\n")
+            code, out, err = run_cli(capsys, *self.argv(command, mode, without=key),
+                                     "--config", str(cfg))
+            assert (code, out, err) == (2, "", f"error: --{key} must not be empty\n")
+        assert resolved == []
 
     @pytest.mark.parametrize("command,mode,key", REQUIRED_CASES)
     def test_required_key_left_unset(self, capsys, resolved, command, mode, key):

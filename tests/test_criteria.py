@@ -8,9 +8,9 @@ from bellkit.criteria import (depolarize, distribute_check, fragility,
                               mm_example_states, mm_partial_residual,
                               mutual_information, schmidt_map)
 from bellkit.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, PureState,
-                            partial_trace, pauli_expect, spectrum, tensor, z_bases)
+                            partial_trace, pauli_expect, spectrum, z_bases)
 
-from conftest import ghz_pure, random_density, random_pure
+from conftest import ghz_pure, kron_state, random_density, random_pure
 
 
 def conjugate_1q(arr: np.ndarray, u: np.ndarray, qubit0: int, n: int) -> np.ndarray:
@@ -184,7 +184,7 @@ class TestMutualInformation:
 
     def test_product_state_zero(self):
         plus = PureState(1, [1, 1] / np.sqrt(2))
-        state = tensor(tensor(plus, plus), PureState.basis(1, 0))
+        state = kron_state(kron_state(plus, plus), PureState.basis(1, 0))
         assert mutual_information(state, z_bases(3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_triplet_one_bit(self):

@@ -12,9 +12,9 @@ from bellkit.bellop import Settings
 from bellkit.certify import MIN_SHOTS, estimate_E
 from bellkit.qstate import (DensityMatrix, PureState, measure_sample,
                             outcome_distribution, partial_trace, pauli_expect,
-                            spectrum, tensor, x_bases, z_bases)
+                            spectrum, x_bases, z_bases)
 
-from conftest import ghz_pure, random_density, random_pure, random_unit_vectors
+from conftest import ghz_pure, kron_state, random_density, random_pure, random_unit_vectors
 
 
 SQ2 = 1 / np.sqrt(2)
@@ -313,26 +313,32 @@ class TestBornDistributionRows:
 
 
 class TestTensor:
+    """Products by np.kron put the first factor's qubits most significant,
+    the layout the library's qubit indices read."""
+
     def test_basis_product(self):
-        out = tensor(PureState.basis(1, 0), PureState.basis(1, 0))
+        out = kron_state(PureState.basis(1, 0), PureState.basis(1, 0))
         assert np.allclose(out.amp, [1, 0, 0, 0])
 
     def test_plus_times_zero(self):
         plus = PureState(1, [SQ2, SQ2])
-        out = tensor(plus, PureState.basis(1, 0))
+        out = kron_state(plus, PureState.basis(1, 0))
         assert np.allclose(out.amp, [SQ2, 0, SQ2, 0])
+        assert pauli_expect(out, 1, [1, 0, 0]) == pytest.approx(1.0)
+        assert pauli_expect(out, 2, [0, 0, 1]) == pytest.approx(1.0)
 
     def test_ghz2_times_zero(self):
-        out = tensor(ghz_pure(2), PureState.basis(1, 0))
+        out = kron_state(ghz_pure(2), PureState.basis(1, 0))
         expected = np.zeros(8)
         expected[0b000] = SQ2
         expected[0b110] = SQ2
         assert np.allclose(out.amp, expected)
+        assert np.allclose(partial_trace(out, {3}).mat, [[1, 0], [0, 0]])
 
     def test_size_overflow(self):
         big = PureState.basis(8, 0)
-        with pytest.raises(ValueError):
-            tensor(big, PureState.basis(7, 0))
+        with pytest.raises(ValueError, match="qubit count"):
+            kron_state(big, PureState.basis(7, 0))
 
 
 class TestPauliExpect:
@@ -389,7 +395,7 @@ class TestPartialTrace:
 
     def test_product_state_factor(self):
         plus = PureState(1, [SQ2, SQ2])
-        both = tensor(plus, plus)
+        both = kron_state(plus, plus)
         reduced = partial_trace(both, {1})
         assert np.allclose(reduced.mat, np.outer(plus.amp, plus.amp.conj()), atol=1e-12)
 
@@ -583,7 +589,7 @@ class TestSpectrum:
 
 class TestMeasureSample:
     def test_deterministic_outcome(self):
-        psi = tensor(PureState.basis(1, 0), PureState.basis(1, 0))
+        psi = kron_state(PureState.basis(1, 0), PureState.basis(1, 0))
         rec = measure_sample(psi, z_bases(2), {1}, seed=0)
         assert rec.outcomes == (1,)
         assert rec.probability == pytest.approx(1.0)
@@ -714,7 +720,7 @@ class TestMeasureSample:
 
 class TestOutcomeDistribution:
     def test_product_z(self):
-        psi = tensor(PureState.basis(1, 0), PureState.basis(1, 0))
+        psi = kron_state(PureState.basis(1, 0), PureState.basis(1, 0))
         p = outcome_distribution(psi, z_bases(2))
         assert p[0] == pytest.approx(1.0)
 

